@@ -1,15 +1,6 @@
 from setuptools import Extension, setup
 
-# The compiled scan kernel is an optional speedup: the package falls back to
-# the pure-Python twin in pkarith._kernel_py when the extension is absent.
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("pkarith._kernel", ["src/pkarith/_kernel.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled scan kernel is an optional speedup: without a working C
+# compiler the build skips it and the package falls back to the
+# pure-Python twin in pkarith._kernel_py.
+setup(ext_modules=[Extension("pkarith._kernel", ["src/pkarith/_kernel.c"], optional=True)])

@@ -2,19 +2,69 @@
 
 Same contract as the compiled module: plain-integer inputs and outputs,
 no package types, so both backends stay drop-in interchangeable.
+
+Both kernels run one algorithm. Every t-orbit lying wholly in the core
+lies in S = {a in core : a + 1 in core}, the members of the FLT root
+pairs a + b = -1: t(a) in the core needs a + 1 in the core. Conversely
+-1 is in the core and the core is a group, so for a in S both
+t(a) = -(a+1)^-1 and t^2(a) = -(a+1) a^-1 are core elements. Hence only
+S needs inverting, and |S| = 3 * proper + fixed.
 """
 
-from .primes import distinct_prime_factors
+from .residues import _primitive_root_value
 
 
-def _smallest_primitive_root_mod_p(p: int) -> int:
-    if p == 3:
-        return 2
-    cofactors = [(p - 1) // q for q in distinct_prime_factors(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, c, p) != 1 for c in cofactors):
-            return g
-    raise AssertionError(f"no primitive root below {p}")
+def core_table(p: int, k: int) -> tuple[int, list[int]]:
+    """(m, by_class): by_class[r] is the core element congruent to r mod p,
+    and by_class[0] = 0.
+
+    The core has exactly one element in every nonzero class mod p, so the
+    table is filled by one walk over the powers of the core generator.
+    """
+    m = p**k
+    h = pow(_primitive_root_value(p, k), p ** (k - 1), m)
+    by_class = [0] * p
+    e = 1
+    for _ in range(p - 1):
+        by_class[e % p] = e
+        e = e * h % m
+    return m, by_class
+
+
+def pair_members(by_class: list[int]) -> list[int]:
+    """S, in class order: core a whose successor a + 1 is the core element
+    of the next class. Class p-1 is skipped, where a + 1 is not a unit."""
+    return [a for a, b in zip(by_class[1:-1], by_class[2:]) if b == a + 1]
+
+
+def _t_in_core(a: int, p: int, m: int, by_class: list[int]) -> int:
+    b = m - pow(a + 1, -1, m)
+    if by_class[b % p] != b:
+        raise AssertionError(f"t({a}) = {b} left the core mod {m}")
+    return b
+
+
+def pair_orbits(
+    p: int, m: int, by_class: list[int]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Fixed points and canonical 3-cycles of t on S, both sorted.
+
+    Raises AssertionError if t maps a member of S out of the core, which
+    a true core table rules out.
+    """
+    fixed = []
+    triplets = []
+    for a in pair_members(by_class):
+        b = _t_in_core(a, p, m, by_class)
+        if b == a:
+            fixed.append(a)
+            continue
+        c = _t_in_core(b, p, m, by_class)
+        if a < b and a < c:
+            triplets.append((a, b, c))
+    fixed.sort()
+    triplets.sort()
+    return fixed, triplets
 
 
 def scan_core_triplets(p: int, k: int) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -23,36 +73,5 @@ def scan_core_triplets(p: int, k: int) -> tuple[list[int], list[tuple[int, int, 
     Returns (sorted fixed-point values, sorted canonical triplet tuples);
     a triplet is canonical when its leading member is the cycle minimum.
     """
-    m = p**k
-    g = _smallest_primitive_root_mod_p(p)
-    if k >= 2 and pow(g, p - 1, p * p) == 1:
-        g += p
-    h = pow(g, p ** (k - 1), m)
-    # exactly one core element per nonzero residue class mod p, so
-    # membership is an O(1) lookup keyed by the class
-    by_class = [0] * p
-    core = []
-    e = 1
-    for _ in range(p - 1):
-        core.append(e)
-        by_class[e % p] = e
-        e = e * h % m
-    fixed = []
-    triplets = []
-    for a in core:
-        if a % p == p - 1:
-            continue  # a + 1 is not a unit; the map is undefined here
-        b = m - pow(a + 1, -1, m)
-        if by_class[b % p] != b:
-            continue
-        if b == a:
-            fixed.append(a)
-            continue
-        c = m - pow(b + 1, -1, m)
-        if by_class[c % p] != c:
-            continue
-        if a < b and a < c:
-            triplets.append((a, b, c))
-    fixed.sort()
-    triplets.sort()
-    return fixed, triplets
+    m, by_class = core_table(p, k)
+    return pair_orbits(p, m, by_class)

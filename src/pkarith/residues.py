@@ -196,7 +196,9 @@ def _primitive_root_value(p: int, k: int) -> int:
         g += p
     m = p**k
     order = (p - 1) * p ** (k - 1)
-    for q in distinct_prime_factors(order):
+    # the order's prime factors, without trial division up to sqrt(order)
+    factors = distinct_prime_factors(p - 1) + ([p] if k >= 2 else [])
+    for q in factors:
         if pow(g, order // q, m) == 1:
             raise AssertionError(f"{g} is not primitive mod {p}^{k}")
     return g

@@ -1,35 +1,173 @@
-"""Backend parity between the compiled and pure scan kernels."""
+"""Scan kernels: backend parity and the FLT-pair-set invariants.
 
+The compiled kernel is built from src/pkarith/_kernel.c into a temporary
+directory whenever a C compiler exists, so these tests never depend on
+an earlier build; they skip only when no compiler is found.
+"""
+
+import importlib.util
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from pkarith import _kernel_py
+from pkarith import _kernel_py, kernel
+from pkarith.cli import main
 from pkarith.kernel import BACKEND
 from pkarith.primes import odd_primes_in
 
-compiled = pytest.importorskip(
-    "pkarith._kernel", reason="compiled kernel not built"
-)
+KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pkarith" / "_kernel.c"
+
+SMALL_PRIMES = list(odd_primes_in(3, 300))
+# largest primes whose 4th and 5th powers stay below the 2^63 modulus bound
+TOP_K4, TOP_K5 = 55_103, 6_203
+
+
+def _c_compiler():
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return shutil.which(shlex.split(cc)[0])
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """pkarith._kernel built from the committed C source and loaded."""
+    if _c_compiler() is None:
+        return pytest.importorskip(
+            "pkarith._kernel",
+            reason="no C compiler found (CC or sysconfig CC) to build the "
+            "compiled kernel, and none is installed",
+        )
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("kernel_build")
+    dist = Distribution({"ext_modules": [Extension("pkarith._kernel", [str(KERNEL_SOURCE)])]})
+    cmd = build_ext(dist)
+    cmd.build_lib = str(out / "lib")
+    cmd.build_temp = str(out / "temp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "pkarith._kernel", cmd.get_ext_fullpath("pkarith._kernel")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# --- brute-force oracle: walks the whole core ------------------------------
+
+
+def oracle_core(p, k):
+    """The core as the image of core projection x -> x^(p^(k-1))."""
+    m = p**k
+    return m, {pow(x, p ** (k - 1), m) for x in range(1, p)}
+
+
+def oracle_t(a, m):
+    return m - pow(a + 1, -1, m)
+
+
+def oracle_orbits(p, k):
+    """(fixed, triplets) by testing every core element, as a full scan would."""
+    m, core = oracle_core(p, k)
+    fixed, triplets = [], []
+    for a in core:
+        if (a + 1) % p == 0:
+            continue
+        b = oracle_t(a, m)
+        if b not in core:
+            continue
+        if b == a:
+            fixed.append(a)
+            continue
+        c = oracle_t(b, m)
+        if c in core and a < b and a < c:
+            triplets.append((a, b, c))
+    return sorted(fixed), sorted(triplets)
+
+
+moduli = st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(2, 5))
+
+
+# --- pure kernel invariants ------------------------------------------------
+
+
+@given(moduli)
+def test_pair_set_matches_oracle_and_is_closed_under_t(pk):
+    p, k = pk
+    m, core = oracle_core(p, k)
+    m_table, by_class = _kernel_py.core_table(p, k)
+    assert m_table == m
+    assert set(by_class[1:]) == core
+    pairs = _kernel_py.pair_members(by_class)
+    assert set(pairs) == {a for a in core if a + 1 in core}
+    assert {oracle_t(a, m) for a in pairs} == set(pairs)
+
+
+@given(moduli)
+def test_pair_set_size_is_three_per_triplet_plus_fixed(pk):
+    p, k = pk
+    _, by_class = _kernel_py.core_table(p, k)
+    fixed, triplets = _kernel_py.scan_core_triplets(p, k)
+    assert len(_kernel_py.pair_members(by_class)) == 3 * len(triplets) + len(fixed)
+    assert (fixed, triplets) == oracle_orbits(p, k)
+
+
+@given(moduli, st.data())
+def test_t_leaving_the_core_raises(pk, data):
+    # forge a table in which a non-core a and a + 1 pose as a pair
+    p, k = pk
+    m, by_class = _kernel_py.core_table(p, k)
+    r = data.draw(st.integers(1, p - 2), label="class")
+    j = data.draw(st.integers(1, p ** (k - 1) - 1), label="offset")
+    a = (by_class[r] + j * p) % m
+    by_class[r], by_class[r + 1] = a, a + 1
+    b = oracle_t(a, m)
+    assume(by_class[b % p] != b)
+    with pytest.raises(AssertionError, match="left the core"):
+        _kernel_py.pair_orbits(p, m, by_class)
+
+
+# --- compiled kernel -------------------------------------------------------
 
 
 def test_backend_name_is_known():
     assert BACKEND in ("compiled", "pure")
 
 
-@pytest.mark.parametrize("p", list(odd_primes_in(3, 200)))
-def test_backends_agree_at_k2(p):
-    assert compiled.scan_core_triplets(p, 2) == _kernel_py.scan_core_triplets(p, 2)
+def test_backends_agree_at_k2(compiled):
+    primes = list(odd_primes_in(3, 2000))
+    mismatched = [
+        p
+        for p in primes
+        if compiled.scan_core_triplets(p, 2) != _kernel_py.scan_core_triplets(p, 2)
+    ]
+    assert mismatched == []
 
 
-@pytest.mark.parametrize("p,k", [(7, 3), (7, 4), (13, 3), (59, 3), (101, 3)])
-def test_backends_agree_at_higher_precision(p, k):
+@pytest.mark.parametrize(
+    "p,k",
+    [(7, 3), (7, 4), (13, 3), (59, 3), (101, 3), (TOP_K4, 4)]
+    + [(p, 5) for p in (3, 5, 7, 31, 59, 211, 1999, TOP_K5)],
+)
+def test_backends_agree_at_higher_precision(compiled, p, k):
     assert compiled.scan_core_triplets(p, k) == _kernel_py.scan_core_triplets(p, k)
 
 
-def test_compiled_matches_known_onset():
+@given(moduli)
+def test_compiled_matches_oracle(compiled, pk):
+    assert compiled.scan_core_triplets(*pk) == oracle_orbits(*pk)
+
+
+def test_compiled_matches_known_onset(compiled):
     fixed, triplets = compiled.scan_core_triplets(59, 2)
     assert fixed == []
     assert triplets == [
@@ -38,6 +176,35 @@ def test_compiled_matches_known_onset():
         (2076, 3181, 2375),
         (2374, 3182, 2675),
     ]
+
+
+def test_compiled_rejects_bad_moduli(compiled):
+    with pytest.raises(OverflowError):
+        compiled.scan_core_triplets(6_209, 5)  # 6209^5 > 2^63
+    with pytest.raises(ValueError):
+        compiled.scan_core_triplets(2, 2)
+    with pytest.raises(ValueError):
+        compiled.scan_core_triplets(7, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # structured scan output carries timings, so scans compare as text
+        ("scan", "3", "400", "2"),
+        ("scan", "3", "60", "3", "--signed"),
+        ("analyze", "59", "2"),
+        ("analyze", "61", "3", "--format", "structured", "--signed"),
+    ],
+)
+def test_cli_output_is_identical_on_both_backends(compiled, monkeypatch, capsys, argv):
+    monkeypatch.delenv("PKARITH_CACHE", raising=False)
+    outputs = []
+    for backend in (_kernel_py, compiled):
+        monkeypatch.setattr(kernel, "scan_core_triplets", backend.scan_core_triplets)
+        assert main(list(argv)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_pure_env_var_forces_fallback():
