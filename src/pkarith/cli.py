@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 not applicable (e.g. no cubic roots exist),
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import Optional
 
 from . import report
 from ._version import __version__
-from .errors import ModulusOverflow, NoCubicRoots
+from .errors import CorruptCache, ModulusOverflow, NoCubicRoots
 from .kernel import BACKEND
 from .primes import is_prime, odd_primes_in
 from .residues import MODULUS_BOUND, PrimePowerModulus
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
     except ModulusOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except json.JSONDecodeError as exc:
+    except CorruptCache as exc:
         print(f"error: corrupt cache file: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -47,3 +47,7 @@ class UndefinedAtMinusOne(PkarithError):
 
 class NotADivisor(PkarithError):
     """Requested subgroup order does not divide p - 1."""
+
+
+class CorruptCache(PkarithError, ValueError):
+    """A scan-cache line is not a well-formed scan record."""

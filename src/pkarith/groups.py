@@ -71,15 +71,11 @@ def group_structure(modulus: PrimePowerModulus) -> GroupStructure:
         group_order=order,
         generator=g,
         core_generator=core_project(g),
-        extension_generator=pow_residue(g, p - 1),
+        extension_generator=g ** (p - 1),
         core_order=p - 1,
         extension_order=p ** (k - 1),
         fermat_order=fermat,
     )
-
-
-def pow_residue(x: Residue, e: int) -> Residue:
-    return Residue(pow(x.value, e, x.modulus.m), x.modulus)
 
 
 def core_elements(modulus: PrimePowerModulus) -> CoreSet:

@@ -3,7 +3,8 @@
 Every residue appears in three coordinated forms: decimal, fixed-width
 base-p digits, and the balanced signed representative. Text and
 structured (JSON) renderings carry the same numeric content; the scan
-cache is an append-only JSONL file keyed by (p, k).
+cache is an append-only JSONL file keyed by (p, k), checked line by line
+when it is read.
 """
 
 import json
@@ -12,9 +13,9 @@ from pathlib import Path
 from typing import Optional
 
 from ._version import __version__
-from .errors import ModulusOverflow, NoCubicRoots
+from .errors import CorruptCache, ModulusOverflow, NoCubicRoots
 from .groups import CoreSet, GroupStructure, core_elements, group_structure
-from .residues import PrimePowerModulus, Residue, to_padic
+from .residues import MODULUS_BOUND, PrimePowerModulus, Residue, to_padic
 from .roots import (
     CUBIC_POLY,
     CubicRootTriple,
@@ -25,7 +26,7 @@ from .roots import (
     hensel_lift_poly_root,
 )
 from .subgroups import CoreTheoremReport, verify_core_theorem
-from .triplets import FixedPoint, ScanRecord, Triplet, find_core_triplets
+from .triplets import FixedPoint, ScanRecord, Triplet, find_core_triplets, scan_record
 
 
 def residue_doc(r: Residue) -> dict:
@@ -346,35 +347,76 @@ def record_to_dict(record: ScanRecord) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_first_proper(p: int, k: int, first) -> None:
+    """A cheap triplet check: the three members close the t-map chain
+    (a+1)b = (b+1)c = (c+1)a = -1 and lie in the core, canonically
+    rotated; O(log m) each, no primality test and no core walk."""
+    m = p**k
+    if not (
+        isinstance(first, list)
+        and len(first) == 3
+        and all(_is_int(v) and 0 < v < m for v in first)
+    ):
+        raise CorruptCache(f"first_proper must be three residues in (0, {m}), got {first!r}")
+    a, b, c = first
+    closes = all((x + 1) * y % m == m - 1 for x, y in ((a, b), (b, c), (c, a)))
+    in_core = all(pow(v, p - 1, m) == 1 for v in first)
+    if not (closes and in_core and a < b and a < c):
+        raise CorruptCache(f"first_proper {first} is not a canonical core triplet mod {p}^{k}")
+
+
 def record_from_dict(doc: dict) -> ScanRecord:
-    modulus = PrimePowerModulus(doc["p"], doc["k"])
+    """The ScanRecord a cache line holds; raises CorruptCache if the line
+    is not a well-formed record. p is not re-tested for primality: the
+    scan serves a record only for a prime it enumerated itself."""
+    if not isinstance(doc, dict):
+        raise CorruptCache(f"expected a JSON object, got {type(doc).__name__}")
+    for key in ("p", "k", "degenerate_count", "proper_triplet_count"):
+        if not _is_int(doc.get(key)):
+            raise CorruptCache(f"missing or non-integer {key!r}")
+    p, k = doc["p"], doc["k"]
+    if p < 3 or p % 2 == 0:
+        raise CorruptCache(f"p must be odd and >= 3, got {p}")
+    if not 2 <= k < 64 or p**k >= MODULUS_BOUND:
+        raise CorruptCache(f"need k >= 2 and p^k < 2^63, got p = {p}, k = {k}")
+    if doc["degenerate_count"] < 0 or doc["proper_triplet_count"] < 0:
+        raise CorruptCache("counts must be >= 0")
+    elapsed = doc.get("elapsed", 0.0)
+    if not isinstance(elapsed, (int, float)) or isinstance(elapsed, bool):
+        raise CorruptCache(f"elapsed must be a number, got {elapsed!r}")
     first = doc.get("first_proper")
-    triplet = None
+    if (first is None) != (doc["proper_triplet_count"] == 0):
+        raise CorruptCache("first_proper must be present exactly when proper_triplet_count > 0")
     if first is not None:
-        a, b, c = (Residue(v, modulus) for v in first)
-        triplet = Triplet(a, b, c, modulus)
-    return ScanRecord(
-        p=doc["p"],
-        k=doc["k"],
-        degenerate_count=doc["degenerate_count"],
-        proper_triplet_count=doc["proper_triplet_count"],
-        first_proper=triplet,
-        elapsed=doc.get("elapsed", 0.0),
+        _check_first_proper(p, k, first)
+    return scan_record(
+        p, k, doc["degenerate_count"], doc["proper_triplet_count"], first, elapsed
     )
 
 
 def load_scan_cache(path: Path) -> dict[tuple[int, int], ScanRecord]:
-    """Parse the JSONL cache; the last line for a (p, k) key wins."""
+    """Parse and check the JSONL cache; the last line for a (p, k) key wins.
+
+    Raises CorruptCache naming the first malformed line.
+    """
     records: dict[tuple[int, int], ScanRecord] = {}
     if not path.exists():
         return records
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
+    # bytes, so that an undecodable line is reported like any other
+    with path.open("rb") as handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            records[(doc["p"], doc["k"])] = record_from_dict(doc)
+            try:
+                record = record_from_dict(json.loads(line))
+            except ValueError as exc:
+                raise CorruptCache(f"line {number} of {path}: {exc}") from None
+            records[(record.p, record.k)] = record
     return records
 
 

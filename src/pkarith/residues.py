@@ -154,11 +154,6 @@ class PAdicDigits:
 # --- ring operations -------------------------------------------------------
 
 
-def mul_mod(x: Residue, y: Residue) -> Residue:
-    """(x * y) mod p^k."""
-    return x * y
-
-
 def pow_mod(x: Residue, e: int) -> Residue:
     """x^e mod p^k by square-and-multiply; x^0 = 1."""
     if e < 0:

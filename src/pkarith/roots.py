@@ -8,13 +8,11 @@ are lifted to higher precision by Newton iteration.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import Case2Excluded, NoCubicRoots, NotARoot, NotAUnit, SingularRoot
 from .groups import core_elements, is_pth_power_residue, units_order
 from .residues import PrimePowerModulus, Residue, discrete_log, primitive_root
-
-CUBIC_SEED_SCAN_LIMIT = 10_000
 
 CUBIC_POLY = (1, 1, 1)  # x^2 + x + 1, constant coefficient first
 
@@ -93,12 +91,8 @@ def hensel_lift_poly_root(coeffs: Sequence[int], root: Residue, target_k: int) -
 
 
 def _cubic_seed(p: int) -> int:
-    """Smallest root of x^2 + x + 1 mod p; generator power for large p."""
-    if p < CUBIC_SEED_SCAN_LIMIT:
-        for x in range(2, p):
-            if (x * x + x + 1) % p == 0:
-                return x
-        raise NoCubicRoots(f"x^2+x+1 has no root mod {p}")
+    """Smaller root of x^2 + x + 1 mod p for p = 1 mod 6, from the
+    primitive root g: g^((p-1)/3) is a nontrivial cubic root of 1."""
     g = primitive_root(PrimePowerModulus(p, 1))
     a = pow(g.value, (p - 1) // 3, p)
     b = p - 1 - a  # the other root; roots of x^2+x+1 sum to -1
@@ -209,7 +203,3 @@ def lift_cubic_pair(p: int, k: int) -> FltRootPair:
     triple = cubic_roots_of_unity(PrimePowerModulus(p, k))
     lo, hi = triple.nontrivial
     return _pair_from_values(lo.value, hi.value, triple.modulus)
-
-
-def pairs_hold_eds(pairs: Iterable[FltRootPair]) -> bool:
-    return all(pair.eds_holds for pair in pairs)

@@ -6,6 +6,12 @@ is defined, so orbits are fixed points (nontrivial cubic roots of 1) or
 b+1 = -c^-1, c+1 = -a^-1 and the product relation abc = 1. The scan
 looks for 3-cycles lying entirely inside the core, which at k = 2 is
 exactly the p-th power residues; the first prime admitting one is 59.
+
+The scan stays on plain integers: per prime, only the two counts and
+the first canonical triple leave the kernel (and cross the process
+pool). triplet_from_values is the one place where three integers become
+a Triplet of Residues; find_core_triplets, scan_record and the scan
+cache reader all use it.
 """
 
 import time
@@ -88,14 +94,10 @@ def orbit_of(a: Residue) -> Triplet | FixedPoint:
     return Triplet(a, b, c, a.modulus)
 
 
-def _wrap_scan(p: int, k: int, fixed_values, triplet_values):
-    modulus = PrimePowerModulus(p, k)
-    fixed = [FixedPoint(Residue(v, modulus), modulus) for v in fixed_values]
-    triplets = [
-        Triplet(Residue(a, modulus), Residue(b, modulus), Residue(c, modulus), modulus)
-        for a, b, c in triplet_values
-    ]
-    return triplets, fixed
+def triplet_from_values(modulus: PrimePowerModulus, values) -> Triplet:
+    """The Triplet whose members are the three plain integers in values."""
+    a, b, c = (Residue(v, modulus) for v in values)
+    return Triplet(a, b, c, modulus)
 
 
 def find_core_triplets(modulus: PrimePowerModulus) -> tuple[list[Triplet], list[FixedPoint]]:
@@ -108,26 +110,26 @@ def find_core_triplets(modulus: PrimePowerModulus) -> tuple[list[Triplet], list[
     if modulus.k < 2:
         raise ValueError("find_core_triplets needs k >= 2; at k = 1 the core is all units")
     fixed_values, triplet_values = kernel.scan_core_triplets(modulus.p, modulus.k)
-    return _wrap_scan(modulus.p, modulus.k, fixed_values, triplet_values)
+    fixed = [FixedPoint(Residue(v, modulus), modulus) for v in fixed_values]
+    return [triplet_from_values(modulus, t) for t in triplet_values], fixed
 
 
-def _scan_one(args: tuple[int, int]) -> tuple[int, int, list, list, float]:
+def _scan_one(args: tuple[int, int]) -> tuple:
+    """The scan_record arguments for one prime: the counts, the first
+    canonical triple as plain integers, and the kernel's seconds."""
     p, k = args
     start = time.perf_counter()
     fixed_values, triplet_values = kernel.scan_core_triplets(p, k)
-    return p, k, fixed_values, triplet_values, time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    first = triplet_values[0] if triplet_values else None
+    return p, k, len(fixed_values), len(triplet_values), first, elapsed
 
 
-def _record_from(p, k, fixed_values, triplet_values, elapsed) -> ScanRecord:
-    triplets, fixed = _wrap_scan(p, k, fixed_values, triplet_values)
-    return ScanRecord(
-        p=p,
-        k=k,
-        degenerate_count=len(fixed),
-        proper_triplet_count=len(triplets),
-        first_proper=triplets[0] if triplets else None,
-        elapsed=elapsed,
-    )
+def scan_record(p, k, degenerate_count, proper_count, first, elapsed) -> ScanRecord:
+    """A ScanRecord from plain integers; first is the leading triple or
+    None, and a modulus is built only for a record that carries one."""
+    triplet = None if first is None else triplet_from_values(PrimePowerModulus(p, k), first)
+    return ScanRecord(p, k, degenerate_count, proper_count, triplet, elapsed)
 
 
 def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRecord]:
@@ -147,7 +149,7 @@ def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRecord
             results = list(pool.map(_scan_one, work))
     else:
         results = [_scan_one(item) for item in work]
-    return [_record_from(*result) for result in results]
+    return [scan_record(*result) for result in results]
 
 
 def scan_primes(p_min: int, p_max: int, k: int, jobs: int = 1) -> list[ScanRecord]:

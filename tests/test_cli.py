@@ -232,6 +232,41 @@ class TestScanCache:
         assert code == 4
         assert "cache" in err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"p": 59, "degenerate_count": 0, "proper_triplet_count": 0, "first_proper": null}',
+            b'{"p": 9, "k": 2, "degenerate_count": 0, "proper_triplet_count": 4, '
+            b'"first_proper": [298, 1106, 805]}',
+            b'{"p": 59, "k": 2, "degenerate_count": 0, "proper_triplet_count": 4, '
+            b'"first_proper": [298, 1106]}',
+            b"[1, 2]",
+            b'{"p": 59, "k": 2, "degenerate_count": 0, "proper_triplet_count": 1, '
+            b'"first_proper": [1, 2, 3]}',
+            b'{"p": 59, "k": 2, "degenerate_count": 0, "proper_triplet_count": 4, '
+            b'"first_proper": [2, 1160, 1739]}',
+            b"\xff\xfe\x00not utf-8",
+        ],
+        ids=[
+            "no-k",
+            "p-9",
+            "two-members",
+            "bare-list",
+            "forged-triplet",
+            "non-core-cycle",
+            "undecodable",
+        ],
+    )
+    def test_bad_record_exits_four_naming_its_line(self, capsys, tmp_path, line):
+        cache = tmp_path / "scan.jsonl"
+        good = b'{"p": 53, "k": 2, "degenerate_count": 0, "proper_triplet_count": 0, '
+        good += b'"first_proper": null, "elapsed": 0.0}'
+        cache.write_bytes(good + b"\n" + line + b"\n")
+        code, out, err = run(capsys, "scan", "53", "59", "2", "--cache", str(cache))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: corrupt cache file: line 2 of ")
+
     def test_different_precision_not_served_from_cache(self, capsys, tmp_path):
         cache = tmp_path / "scan.jsonl"
         run(capsys, "scan", "59", "59", "2", "--cache", str(cache))

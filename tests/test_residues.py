@@ -18,7 +18,6 @@ from pkarith.residues import (
     discrete_log,
     from_padic,
     inv_mod,
-    mul_mod,
     pow_mod,
     primitive_root,
     to_padic,
@@ -81,10 +80,10 @@ class TestResidue:
 
 class TestMulInvPow:
     def test_inverse_pair_from_core_table(self):
-        assert mul_mod(res(18, 7, 2), res(30, 7, 2)).value == 1
+        assert (res(18, 7, 2) * res(30, 7, 2)).value == 1
 
     def test_minus_one_squares_to_one(self):
-        assert mul_mod(res(48, 7, 2), res(48, 7, 2)).value == 1
+        assert (res(48, 7, 2) * res(48, 7, 2)).value == 1
 
     def test_core_projection_values(self):
         assert pow_mod(res(3, 7, 2), 7).value == 31
@@ -235,14 +234,14 @@ def residue_and_modulus(draw):
 @given(residue_and_modulus(), st.integers(0, 500), st.integers(0, 500))
 def test_pow_is_additive_in_the_exponent(x, e1, e2):
     lhs = pow_mod(x, e1 + e2)
-    rhs = mul_mod(pow_mod(x, e1), pow_mod(x, e2))
+    rhs = pow_mod(x, e1) * pow_mod(x, e2)
     assert lhs.value == rhs.value
 
 
 @given(residue_and_modulus())
 def test_units_cancel_with_their_inverse(x):
     if x.is_unit:
-        assert mul_mod(x, inv_mod(x)).value == 1
+        assert (x * inv_mod(x)).value == 1
     else:
         with pytest.raises(NotAUnit):
             inv_mod(x)

@@ -1,17 +1,24 @@
 """Successor-inverse orbits and the triplet scan."""
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pkarith.errors import ModulusOverflow, NotAUnit, UndefinedAtMinusOne
 from pkarith.groups import is_core_member
 from pkarith.primes import odd_primes_in
+from pkarith.report import record_from_dict, record_to_dict
 from pkarith.residues import PrimePowerModulus, Residue
 from pkarith.roots import cubic_roots_of_unity
 from pkarith.triplets import (
     FixedPoint,
+    ScanRecord,
     Triplet,
     find_core_triplets,
     orbit_of,
+    scan_prime_list,
     scan_primes,
     t_map,
 )
@@ -148,13 +155,20 @@ class TestScanPrimes:
         assert stripped(first) == stripped(second)
 
     def test_parallel_matches_serial(self):
-        serial = scan_primes(3, 150, 2)
-        parallel = scan_primes(3, 150, 2, jobs=4)
-        assert [r.p for r in serial] == [r.p for r in parallel]
-        assert [r.proper_triplet_count for r in serial] == [
-            r.proper_triplet_count for r in parallel
-        ]
-        assert [r.first_proper for r in serial] == [r.first_proper for r in parallel]
+        # serial and pooled records both agree with find_core_triplets
+        for k, p_max in ((2, 2000), (3, 300), (4, 300), (5, 300)):
+            primes = list(odd_primes_in(3, p_max))
+            expected = []
+            for p in primes:
+                proper, fixed = find_core_triplets(PrimePowerModulus(p, k))
+                first = proper[0] if proper else None
+                expected.append((p, k, len(fixed), len(proper), first))
+            for jobs in (1, 2):
+                records = scan_prime_list(primes, k, jobs=jobs)
+                assert [
+                    (r.p, r.k, r.degenerate_count, r.proper_triplet_count, r.first_proper)
+                    for r in records
+                ] == expected, (k, jobs)
 
     def test_triplet_primes_below_200(self):
         records = scan_primes(3, 200, 2)
@@ -179,3 +193,20 @@ class TestScanPrimes:
         (record,) = scan_primes(59, 59, 3)
         assert record.k == 3
         assert record.proper_triplet_count == 0
+
+
+@st.composite
+def scan_records(draw):
+    k = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([3, 7, 59, 79, 83, 179, 193, 263]))
+    proper, _ = find_core_triplets(PrimePowerModulus(p, k))
+    first = draw(st.sampled_from([None, *proper]))
+    proper_count = 0 if first is None else draw(st.integers(1, 10**6))
+    elapsed = round(draw(st.floats(0, 1e3)), 6)
+    return ScanRecord(p, k, draw(st.integers(0, 10**6)), proper_count, first, elapsed)
+
+
+@given(scan_records())
+def test_cache_record_round_trip(record):
+    line = json.dumps(record_to_dict(record))
+    assert record_from_dict(json.loads(line)) == record
