@@ -15,9 +15,9 @@ from ._version import __version__
 from .errors import CorruptCache, ModulusOverflow, NoCubicRoots
 from .kernel import BACKEND
 from .primes import is_prime, odd_primes_in
-from .residues import MODULUS_BOUND, PrimePowerModulus
+from .residues import PrimePowerModulus, exceeds_bound
 from .subgroups import verify_core_theorem
-from .triplets import scan_prime_list
+from .triplets import scan_prime_list, scan_record
 
 EXIT_OK = 0
 EXIT_NOT_APPLICABLE = 1
@@ -166,15 +166,11 @@ def _cache_path(args) -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _cmd_scan(args) -> int:
-    if not 3 <= args.p_min <= args.p_max:
-        raise UsageError(f"need 3 <= p_min <= p_max, got [{args.p_min}, {args.p_max}]")
-    _require_precision(args.k, minimum=2)
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    # bound-check the raw endpoint before any prime enumeration
-    if args.p_max**args.k >= MODULUS_BOUND:
-        raise ModulusOverflow(f"{args.p_max}^{args.k} exceeds the 2^63 modulus bound")
+def _scan_records(args) -> list:
+    """The scan's records in prime order. Primes missing from the cache
+    (all of them with --force) are computed and appended to it; only the
+    cached rows of the primes reported become records. The rows of the
+    whole cache are dropped on return, before rendering."""
     primes = list(odd_primes_in(args.p_min, args.p_max))
     cache_path = _cache_path(args)
     cached = report.load_scan_cache(cache_path) if cache_path else {}
@@ -185,9 +181,20 @@ def _cmd_scan(args) -> int:
     new_records = scan_prime_list(to_run, args.k, jobs=args.jobs)
     if cache_path is not None and new_records:
         report.append_scan_cache(cache_path, new_records)
-    merged = {record.p: record for record in cached.values() if record.k == args.k}
-    merged.update({record.p: record for record in new_records})
-    records = [merged[p] for p in primes]
+    fresh = {record.p: record for record in new_records}
+    return [fresh.get(p) or scan_record(*cached[p, args.k]) for p in primes]
+
+
+def _cmd_scan(args) -> int:
+    if not 3 <= args.p_min <= args.p_max:
+        raise UsageError(f"need 3 <= p_min <= p_max, got [{args.p_min}, {args.p_max}]")
+    _require_precision(args.k, minimum=2)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    # bound-check the raw endpoint before any prime enumeration
+    if exceeds_bound(args.p_max, args.k):
+        raise ModulusOverflow(f"{args.p_max}^{args.k} exceeds the 2^63 modulus bound")
+    records = _scan_records(args)
     if args.format == "text":
         _emit(report.scan_to_text(records, args.k, args.signed))
     else:

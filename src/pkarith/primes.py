@@ -1,5 +1,7 @@
 """Primality and factoring helpers for the supported (64-bit) range."""
 
+from itertools import compress
+from math import isqrt
 from typing import Iterator
 
 # Strong-pseudoprime bases making Miller-Rabin exact for all n < 3.3e24,
@@ -55,12 +57,33 @@ def distinct_prime_factors(n: int) -> list[int]:
     return out
 
 
+# odd numbers per sieve segment: 64 KiB of flags whatever the range width
+_SEGMENT = 1 << 16
+
+
 def odd_primes_in(lo: int, hi: int) -> Iterator[int]:
-    """Odd primes p with lo <= p <= hi, ascending."""
-    n = max(lo, 3)
-    if n % 2 == 0:
-        n += 1
-    while n <= hi:
-        if is_prime(n):
-            yield n
-        n += 2
+    """Odd primes p with lo <= p <= hi, ascending.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977): the
+    odd primes up to sqrt(hi) cross off their odd multiples in one window
+    of _SEGMENT odd numbers at a time, and each window's primes are
+    yielded before the next is sieved, so memory is O(sqrt(hi) + _SEGMENT)
+    however wide [lo, hi] is. The base primes come from the same sieve.
+    """
+    start = max(lo, 3) | 1
+    if start > hi:
+        return
+    base = list(odd_primes_in(3, isqrt(hi)))
+    for seg_lo in range(start, hi + 1, 2 * _SEGMENT):
+        seg_hi = min(seg_lo + 2 * _SEGMENT - 2, hi)
+        size = (seg_hi - seg_lo) // 2 + 1  # flag i stands for seg_lo + 2i
+        flags = bytearray([1]) * size
+        for q in base:
+            if q * q > seg_hi:
+                break
+            first = max(q * q, -(-seg_lo // q) * q)
+            if first % 2 == 0:  # q is odd, so the next multiple is odd
+                first += q
+            i = (first - seg_lo) // 2
+            flags[i::q] = bytes(len(range(i, size, q)))
+        yield from compress(range(seg_lo, seg_hi + 1, 2), flags)

@@ -2,12 +2,15 @@
 
 Every residue appears in three coordinated forms: decimal, fixed-width
 base-p digits, and the balanced signed representative. Text and
-structured (JSON) renderings carry the same numeric content; the scan
-cache is an append-only JSONL file keyed by (p, k), checked line by line
-when it is read.
+structured (JSON) renderings carry the same numeric content. The scan
+cache is an append-only JSONL file keyed by (p, k). Reading it checks
+every line into a plain row of integers, the tuple triplets.scan_record
+takes; no modulus, residue or record is built while reading, so a scan
+pays for records only for the primes it serves.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -15,7 +18,7 @@ from typing import Optional
 from ._version import __version__
 from .errors import CorruptCache, ModulusOverflow, NoCubicRoots
 from .groups import CoreSet, GroupStructure, core_elements, group_structure
-from .residues import MODULUS_BOUND, PrimePowerModulus, Residue, to_padic
+from .residues import PrimePowerModulus, Residue, exceeds_bound, to_padic
 from .roots import (
     CUBIC_POLY,
     CubicRootTriple,
@@ -26,7 +29,7 @@ from .roots import (
     hensel_lift_poly_root,
 )
 from .subgroups import CoreTheoremReport, verify_core_theorem
-from .triplets import FixedPoint, ScanRecord, Triplet, find_core_triplets, scan_record
+from .triplets import FixedPoint, ScanRecord, Triplet, find_core_triplets
 
 
 def residue_doc(r: Residue) -> dict:
@@ -347,65 +350,84 @@ def record_to_dict(record: ScanRecord) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_first_proper(p: int, k: int, first) -> None:
     """A cheap triplet check: the three members close the t-map chain
     (a+1)b = (b+1)c = (c+1)a = -1 and lie in the core, canonically
     rotated; O(log m) each, no primality test and no core walk."""
     m = p**k
     if not (
-        isinstance(first, list)
+        type(first) is list
         and len(first) == 3
-        and all(_is_int(v) and 0 < v < m for v in first)
+        and all(type(v) is int and 0 < v < m for v in first)
     ):
         raise CorruptCache(f"first_proper must be three residues in (0, {m}), got {first!r}")
     a, b, c = first
-    closes = all((x + 1) * y % m == m - 1 for x, y in ((a, b), (b, c), (c, a)))
-    in_core = all(pow(v, p - 1, m) == 1 for v in first)
+    closes = (a + 1) * b % m == (b + 1) * c % m == (c + 1) * a % m == m - 1
+    in_core = pow(a, p - 1, m) == pow(b, p - 1, m) == pow(c, p - 1, m) == 1
     if not (closes and in_core and a < b and a < c):
         raise CorruptCache(f"first_proper {first} is not a canonical core triplet mod {p}^{k}")
 
 
-def record_from_dict(doc: dict) -> ScanRecord:
-    """The ScanRecord a cache line holds; raises CorruptCache if the line
-    is not a well-formed record. p is not re-tested for primality: the
-    scan serves a record only for a prime it enumerated itself."""
-    if not isinstance(doc, dict):
+_COUNT_KEYS = ("p", "k", "degenerate_count", "proper_triplet_count")
+
+
+def row_from_dict(doc: dict) -> tuple:
+    """The plain scan row (p, k, degenerate, proper, first, elapsed) that a
+    cache line holds, as triplets.scan_record takes it; raises CorruptCache
+    if the line is not a well-formed record. p is not re-tested for
+    primality: the scan serves a row only for a prime it enumerated itself.
+
+    JSON numbers parse to exactly int or float, so type() tells integers
+    from floats and from bools (a subclass of int) in one test.
+    """
+    if type(doc) is not dict:
         raise CorruptCache(f"expected a JSON object, got {type(doc).__name__}")
-    for key in ("p", "k", "degenerate_count", "proper_triplet_count"):
-        if not _is_int(doc.get(key)):
-            raise CorruptCache(f"missing or non-integer {key!r}")
-    p, k = doc["p"], doc["k"]
+    p, k, degenerate, proper = counts = tuple(map(doc.get, _COUNT_KEYS))
+    if not type(p) is type(k) is type(degenerate) is type(proper) is int:
+        key = next(key for key, v in zip(_COUNT_KEYS, counts) if type(v) is not int)
+        raise CorruptCache(f"missing or non-integer {key!r}")
     if p < 3 or p % 2 == 0:
         raise CorruptCache(f"p must be odd and >= 3, got {p}")
-    if not 2 <= k < 64 or p**k >= MODULUS_BOUND:
+    if k < 2 or exceeds_bound(p, k):
         raise CorruptCache(f"need k >= 2 and p^k < 2^63, got p = {p}, k = {k}")
-    if doc["degenerate_count"] < 0 or doc["proper_triplet_count"] < 0:
+    if degenerate < 0 or proper < 0:
         raise CorruptCache("counts must be >= 0")
     elapsed = doc.get("elapsed", 0.0)
-    if not isinstance(elapsed, (int, float)) or isinstance(elapsed, bool):
+    if type(elapsed) not in (int, float):
         raise CorruptCache(f"elapsed must be a number, got {elapsed!r}")
+    if not 0 <= elapsed < math.inf:
+        raise CorruptCache(f"elapsed must be finite and >= 0, got {elapsed!r}")
     first = doc.get("first_proper")
-    if (first is None) != (doc["proper_triplet_count"] == 0):
+    if (first is None) != (proper == 0):
         raise CorruptCache("first_proper must be present exactly when proper_triplet_count > 0")
     if first is not None:
         _check_first_proper(p, k, first)
-    return scan_record(
-        p, k, doc["degenerate_count"], doc["proper_triplet_count"], first, elapsed
-    )
+    return p, k, degenerate, proper, first, elapsed
 
 
-def load_scan_cache(path: Path) -> dict[tuple[int, int], ScanRecord]:
-    """Parse and check the JSONL cache; the last line for a (p, k) key wins.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads_stripped(line: str):
+    """json.loads for a line with no surrounding whitespace, without the
+    two whitespace scans json.loads makes around the value."""
+    doc, end = _raw_decode(line)
+    if end < len(line):
+        return json.loads(line)  # raises json.loads's own "Extra data" error
+    return doc
+
+
+def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
+    """Check every line of the JSONL cache and map (p, k) to its plain
+    row (see row_from_dict); the last line for a key wins. No modulus,
+    residue or record is built here: the scan turns into records only
+    the rows it serves.
 
     Raises CorruptCache naming the first malformed line.
     """
-    records: dict[tuple[int, int], ScanRecord] = {}
+    rows: dict[tuple[int, int], tuple] = {}
     if not path.exists():
-        return records
+        return rows
     # bytes, so that an undecodable line is reported like any other
     with path.open("rb") as handle:
         for number, line in enumerate(handle, 1):
@@ -413,11 +435,11 @@ def load_scan_cache(path: Path) -> dict[tuple[int, int], ScanRecord]:
             if not line:
                 continue
             try:
-                record = record_from_dict(json.loads(line))
+                row = row_from_dict(_loads_stripped(line.decode()))
             except ValueError as exc:
                 raise CorruptCache(f"line {number} of {path}: {exc}") from None
-            records[(record.p, record.k)] = record
-    return records
+            rows[row[0], row[1]] = row
+    return rows
 
 
 def append_scan_cache(path: Path, records: list[ScanRecord]) -> None:

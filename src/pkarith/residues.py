@@ -20,6 +20,13 @@ from .primes import distinct_prime_factors, is_prime
 
 MODULUS_BOUND = 1 << 63
 
+
+def exceeds_bound(p: int, k: int) -> bool:
+    """True when p^k >= 2^63. Every k >= 63 exceeds the bound for p >= 2,
+    and is answered before p**k is formed, so a huge k costs nothing."""
+    return k >= 63 or p**k >= MODULUS_BOUND
+
+
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
@@ -36,10 +43,9 @@ class PrimePowerModulus:
             raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        m = self.p**self.k
-        if m >= MODULUS_BOUND:
+        if exceeds_bound(self.p, self.k):
             raise ModulusOverflow(f"{self.p}^{self.k} exceeds the 2^63 modulus bound")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", self.p**self.k)
 
     def residue(self, value: int) -> "Residue":
         return Residue(value, self)

@@ -9,9 +9,11 @@ exactly the p-th power residues; the first prime admitting one is 59.
 
 The scan stays on plain integers: per prime, only the two counts and
 the first canonical triple leave the kernel (and cross the process
-pool). triplet_from_values is the one place where three integers become
-a Triplet of Residues; find_core_triplets, scan_record and the scan
-cache reader all use it.
+pool, in chunks). That row, (p, k, degenerate, proper, first, elapsed),
+is also what the scan cache reader returns per line. scan_record turns a
+row into a ScanRecord, and the CLI calls it only for the primes a scan
+reports; triplet_from_values is the one place where three integers
+become a Triplet of Residues, used by find_core_triplets and scan_record.
 """
 
 import time
@@ -22,7 +24,7 @@ from typing import Optional
 from . import kernel
 from .errors import ModulusOverflow, NotAUnit, UndefinedAtMinusOne
 from .primes import odd_primes_in
-from .residues import MODULUS_BOUND, PrimePowerModulus, Residue
+from .residues import PrimePowerModulus, Residue, exceeds_bound
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,18 +137,21 @@ def scan_record(p, k, degenerate_count, proper_count, first, elapsed) -> ScanRec
 def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRecord]:
     """Run find_core_triplets for each listed prime, in listed order.
 
-    jobs > 1 fans the per-prime work out across processes; the output
-    order still follows the input list.
+    jobs > 1 fans the per-prime work out across processes, in about four
+    chunks per worker (the split multiprocessing.Pool.map makes) rather
+    than one round trip per prime; the output order still follows the
+    input list.
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
     for p in primes:
-        if p**k >= MODULUS_BOUND:
+        if exceeds_bound(p, k):
             raise ModulusOverflow(f"{p}^{k} exceeds the 2^63 modulus bound")
     work = [(p, k) for p in primes]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one, work))
+            chunksize = -(-len(work) // (4 * jobs))
+            results = list(pool.map(_scan_one, work, chunksize=chunksize))
     else:
         results = [_scan_one(item) for item in work]
     return [scan_record(*result) for result in results]
@@ -160,6 +165,6 @@ def scan_primes(p_min: int, p_max: int, k: int, jobs: int = 1) -> list[ScanRecor
     """
     if not 3 <= p_min <= p_max:
         raise ValueError(f"need 3 <= p_min <= p_max, got [{p_min}, {p_max}]")
-    if p_max**k >= MODULUS_BOUND:
+    if exceeds_bound(p_max, k):
         raise ModulusOverflow(f"{p_max}^{k} exceeds the 2^63 modulus bound")
     return scan_prime_list(list(odd_primes_in(p_min, p_max)), k, jobs)

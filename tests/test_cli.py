@@ -1,10 +1,19 @@
 """Command-line interface: formats, exit codes, scan cache."""
 
+import io
 import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkarith.cli import main
+from pkarith.report import record_to_dict
+from pkarith.triplets import scan_record
 
 
 def run(capsys, *argv):
@@ -176,6 +185,21 @@ class TestScan:
         code, _, _ = run(capsys, "scan", "10", "3", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "3", "5", "1000000000"),
+            ("analyze", "3", "1000000000"),
+            ("lift", "7", "2", "1000000000"),
+        ],
+    )
+    def test_huge_precision_overflows_at_once(self, capsys, argv):
+        # rejected before 3^(10^9), a 1.6-gigabit integer, is formed
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "bound" in err
+
 
 class TestScanCache:
     def test_cache_populated_then_skipped(self, capsys, tmp_path):
@@ -246,6 +270,12 @@ class TestScanCache:
             b'{"p": 59, "k": 2, "degenerate_count": 0, "proper_triplet_count": 4, '
             b'"first_proper": [2, 1160, 1739]}',
             b"\xff\xfe\x00not utf-8",
+            b'{"p": 53, "k": 2, "degenerate_count": 0, "proper_triplet_count": 0, '
+            b'"first_proper": null, "elapsed": NaN}',
+            b'{"p": 53, "k": 2, "degenerate_count": 0, "proper_triplet_count": 0, '
+            b'"first_proper": null, "elapsed": Infinity}',
+            b'{"p": 53, "k": 2, "degenerate_count": 0, "proper_triplet_count": 0, '
+            b'"first_proper": null, "elapsed": -0.5}',
         ],
         ids=[
             "no-k",
@@ -255,6 +285,9 @@ class TestScanCache:
             "forged-triplet",
             "non-core-cycle",
             "undecodable",
+            "elapsed-nan",
+            "elapsed-infinity",
+            "elapsed-negative",
         ],
     )
     def test_bad_record_exits_four_naming_its_line(self, capsys, tmp_path, line):
@@ -273,6 +306,98 @@ class TestScanCache:
         code, out, _ = run(capsys, "scan", "59", "59", "3", "--cache", str(cache))
         assert code == 0
         assert "no proper triplets" in out  # k=3 result, not the cached k=2 one
+
+
+# --- fuzzed cache lines -----------------------------------------------------
+
+CACHE_KEYS = ("p", "k", "degenerate_count", "proper_triplet_count", "first_proper", "elapsed")
+LINE_ONE = {
+    "p": 53,
+    "k": 2,
+    "degenerate_count": 0,
+    "proper_triplet_count": 0,
+    "first_proper": None,
+    "elapsed": 0.0,
+}
+RECORD_59 = {**LINE_ONE, "p": 59, "proper_triplet_count": 4, "first_proper": [298, 1106, 805]}
+# every canonical proper core triplet mod 59^2
+TRIPLETS_59 = [[298, 1106, 805], [299, 1404, 1105], [2076, 3181, 2375], [2374, 3182, 2675]]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+# per key, values of the right JSON type, in range or just out of it
+typed_values = {
+    "p": st.integers(-3, 100),
+    "k": st.integers(-1, 70),
+    "degenerate_count": st.integers(-2, 5),
+    "proper_triplet_count": st.integers(-2, 5),
+    "first_proper": st.none()
+    | st.sampled_from(TRIPLETS_59 + [t[1:] + t[:1] for t in TRIPLETS_59])
+    | st.lists(st.integers(-1, 3_500), max_size=4),
+    "elapsed": st.sampled_from([math.nan, math.inf, -math.inf, -1e-9])
+    | st.floats()
+    | st.integers(-2, 10**20),
+}
+
+
+@st.composite
+def mutated_records(draw) -> dict:
+    """A valid record with one or two fields deleted or replaced."""
+    doc = dict(draw(st.sampled_from([LINE_ONE, RECORD_59])))
+    for key in draw(st.sets(st.sampled_from(CACHE_KEYS), min_size=1, max_size=2)):
+        action = draw(st.sampled_from(["delete", "typed", "any"]))
+        if action == "delete":
+            del doc[key]
+        else:
+            doc[key] = draw(typed_values[key] if action == "typed" else json_values)
+    return doc
+
+
+cache_lines = st.one_of(
+    json_values.map(lambda value: json.dumps(value).encode()),
+    mutated_records().map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=40).map(lambda raw: raw.replace(b"\n", b"")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cache_lines)
+def test_fuzzed_cache_line_is_served_exactly_or_named(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "scan.jsonl"
+        cache.write_bytes(json.dumps(LINE_ONE).encode() + b"\n" + line + b"\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            argv = ["scan", "53", "59", "2", "--format", "structured", "--cache", str(cache)]
+            code = main(argv)
+    if code == 4:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: corrupt cache file: line 2 of ")
+        return
+    assert code == 0
+    served = {(53, 2): LINE_ONE}
+    if line.strip():
+        doc = json.loads(line.decode())
+        served[doc["p"], doc["k"]] = doc
+        if (doc["p"], doc["k"]) == (59, 2) and doc.get("first_proper") is not None:
+            assert doc["first_proper"] in TRIPLETS_59
+    # strict JSON: NaN and Infinity are not JSON numbers
+    report = json.loads(out.getvalue(), parse_constant=pytest.fail)["report"]
+    for record in report["records"]:
+        doc = served.get((record["p"], 2))
+        if doc is None:  # computed afresh
+            del record["elapsed"]
+            fresh = record_to_dict(scan_record(*RECORD_59.values()))
+            del fresh["elapsed"]
+            assert record == fresh
+            continue
+        row = [doc[key] for key in CACHE_KEYS[:4]]
+        row += [doc.get("first_proper"), doc.get("elapsed", 0.0)]
+        assert record == record_to_dict(scan_record(*row))
 
 
 class TestParser:

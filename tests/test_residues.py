@@ -16,6 +16,7 @@ from pkarith.residues import (
     PrimePowerModulus,
     Residue,
     discrete_log,
+    exceeds_bound,
     from_padic,
     inv_mod,
     pow_mod,
@@ -51,6 +52,12 @@ class TestPrimePowerModulus:
         assert PrimePowerModulus(3, 39).m < 2**63
         with pytest.raises(ModulusOverflow):
             PrimePowerModulus(3, 40)
+
+    def test_rejects_huge_precision_at_once(self):
+        # k >= 63 is refused before p**k is formed
+        with pytest.raises(ModulusOverflow):
+            PrimePowerModulus(3, 10**9)
+        assert exceeds_bound(2, 63) and not exceeds_bound(2, 62)
 
 
 class TestResidue:

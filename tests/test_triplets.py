@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pkarith.errors import ModulusOverflow, NotAUnit, UndefinedAtMinusOne
 from pkarith.groups import is_core_member
 from pkarith.primes import odd_primes_in
-from pkarith.report import record_from_dict, record_to_dict
+from pkarith.report import record_to_dict, row_from_dict
 from pkarith.residues import PrimePowerModulus, Residue
 from pkarith.roots import cubic_roots_of_unity
 from pkarith.triplets import (
@@ -20,6 +20,7 @@ from pkarith.triplets import (
     orbit_of,
     scan_prime_list,
     scan_primes,
+    scan_record,
     t_map,
 )
 
@@ -209,4 +210,4 @@ def scan_records(draw):
 @given(scan_records())
 def test_cache_record_round_trip(record):
     line = json.dumps(record_to_dict(record))
-    assert record_from_dict(json.loads(line)) == record
+    assert scan_record(*row_from_dict(json.loads(line))) == record
