@@ -3,8 +3,17 @@
  *
  * Same algorithm as the pure twin in _kernel_py.py: walk the core once
  * into a table keyed by residue class, keep the FLT-pair members
- * S = {a in core : a + 1 in core}, and invert only on S. Moduli stay
- * below 2^63, so one 128-bit widening multiply covers every product.
+ * S = {a in core : a + 1 in core}, and invert only on S.
+ *
+ * The walk h^0, ..., h^(p-2) is nearly all of the work. Each step is a
+ * Montgomery product (P. L. Montgomery, "Modular multiplication without
+ * trial division", Math. Comp. 44, 1985) with R = 2^64, which needs an
+ * odd modulus: with hr = h * R mod m, REDC(e * hr) = e * h mod m in three
+ * multiplies and no division. Moduli stay below 2^63 so that
+ * e * hr + u * m < 2^128 and one conditional subtract brings the result
+ * below m. Four chains, started a quarter of the walk apart, step in one
+ * loop so that their multiply latencies overlap, and the class x mod p
+ * comes from a multiply by floor((2^64 - 1) / p) instead of a division.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -20,6 +29,30 @@ typedef int64_t i64;
 typedef unsigned __int128 u128;
 
 static u64 mulmod(u64 a, u64 b, u64 m) { return (u64)((u128)a * b % m); }
+
+/* -m^-1 mod 2^64 for odd m: m * m = 1 mod 8 gives 3 bits, and each
+ * Newton step doubles them, 3 -> 96 in five */
+static u64 neg_inv64(u64 m) {
+    u64 x = m;
+    int i;
+    for (i = 0; i < 5; i++) x *= 2 - m * x;
+    return -x;
+}
+
+/* a * b / 2^64 mod m for odd m < 2^63 and a, b < m; mp = neg_inv64(m) */
+static inline u64 redc_mul(u64 a, u64 b, u64 m, u64 mp) {
+    u128 t = (u128)a * b;
+    u64 u = (u64)t * mp;  /* t + u * m = 0 mod 2^64 and < 2^128 */
+    u64 r = (u64)((t + (u128)u * m) >> 64);
+    return r >= m ? r - m : r;
+}
+
+/* x mod p for any x < 2^64, with pinv = floor((2^64 - 1) / p): the
+ * quotient estimate is short by at most one */
+static inline u64 class_of(u64 x, u64 p, u64 pinv) {
+    u64 r = x - (u64)(((u128)x * pinv) >> 64) * p;
+    return r >= p ? r - p : r;
+}
 
 static u64 powmod(u64 base, u64 e, u64 m) {
     u64 r = 1 % m;
@@ -64,9 +97,9 @@ static u64 primroot(u64 p, int k) {
 }
 
 /* t(a) if it lies in the core, else 0 with AssertionError set */
-static u64 t_in_core(u64 a, u64 p, u64 m, const u64 *by_class) {
+static u64 t_in_core(u64 a, u64 p, u64 pinv, u64 m, const u64 *by_class) {
     u64 b = m - invmod(a + 1, m);
-    if (by_class[b % p] == b) return b;
+    if (by_class[class_of(b, p, pinv)] == b) return b;
     PyErr_Format(PyExc_AssertionError, "t(%llu) = %llu left the core mod %llu",
                  (unsigned long long)a, (unsigned long long)b, (unsigned long long)m);
     return 0;
@@ -89,27 +122,40 @@ static PyObject *scan_core_triplets(PyObject *self, PyObject *args) {
                                                         "%lld^%d exceeds 2^63", p_in, k);
         m *= p;
     }
-    u64 g = primroot(p, k);
+    u64 g = p % 2 ? primroot(p, k) : 0;  /* even p: Montgomery needs an odd m */
     if (g == 0) return PyErr_Format(PyExc_ValueError, "%lld is not prime", p_in);
     for (i = 1; i < k; i++) pk1 *= p;
-    u64 h = powmod(g, pk1, m), e = 1, r, a, b, c;
+    u64 h = powmod(g, pk1, m), r, a, b, c;
     u64 *by_class = calloc(p, sizeof(u64));  /* class 0 holds no unit */
     if (by_class == NULL) return PyErr_NoMemory();
-    for (r = 1; r < p; r++) {
-        by_class[e % p] = e;
-        e = mulmod(e, h, m);
+    /* chain j walks h^(j*q), ..., h^(j*q + q - 1); chain 3 then takes
+     * the (p - 1) mod 4 leftover steps up to h^(p-2) */
+    u64 pinv = UINT64_MAX / p, mp = neg_inv64(m), hr = (u64)(((u128)h << 64) % m);
+    u64 q = (p - 1) / 4, e[4], step;
+    e[0] = 1;
+    e[1] = powmod(h, q, m);
+    e[2] = mulmod(e[1], e[1], m);
+    e[3] = mulmod(e[2], e[1], m);
+    for (step = 0; step < q; step++)
+        for (i = 0; i < 4; i++) {
+            by_class[class_of(e[i], p, pinv)] = e[i];
+            e[i] = redc_mul(e[i], hr, m, mp);
+        }
+    for (step = 4 * q; step < p - 1; step++) {
+        by_class[class_of(e[3], p, pinv)] = e[3];
+        e[3] = redc_mul(e[3], hr, m, mp);
     }
     PyObject *fixed = PyList_New(0), *triplets = PyList_New(0), *out = NULL;
     if (fixed == NULL || triplets == NULL) goto done;
     for (r = 1; r + 1 < p; r++) {
         a = by_class[r];
         if (by_class[r + 1] != a + 1) continue;  /* a is not in S */
-        if ((b = t_in_core(a, p, m, by_class)) == 0) goto done;
+        if ((b = t_in_core(a, p, pinv, m, by_class)) == 0) goto done;
         if (b == a) {
             if (append_new(fixed, PyLong_FromUnsignedLongLong(a)) < 0) goto done;
             continue;
         }
-        if ((c = t_in_core(b, p, m, by_class)) == 0) goto done;
+        if ((c = t_in_core(b, p, pinv, m, by_class)) == 0) goto done;
         if (a < b && a < c &&
             append_new(triplets, Py_BuildValue("(KKK)", (unsigned long long)a,
                                                (unsigned long long)b, (unsigned long long)c)) < 0)

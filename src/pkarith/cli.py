@@ -1,7 +1,8 @@
 """Command-line interface: analyze, roots, scan, core-theorem, lift.
 
 Exit codes: 0 success, 1 not applicable (e.g. no cubic roots exist),
-2 usage, 3 modulus overflow, 4 I/O failure.
+2 usage, 3 modulus overflow or a kernel table over the memory budget,
+4 I/O failure.
 """
 
 import argparse

@@ -9,6 +9,10 @@ class ModulusOverflow(PkarithError):
     """p^k exceeds the supported 63-bit modulus bound."""
 
 
+class MemoryBudgetExceeded(ModulusOverflow):
+    """The scan kernel's table for p would not fit in the memory budget."""
+
+
 class ModulusMismatch(PkarithError):
     """Two residues from different moduli were combined."""
 

@@ -1,8 +1,9 @@
 """Exact modular arithmetic over odd prime-power moduli.
 
 The ambient ring is Z mod p^k for an odd prime p. Moduli are capped at
-2^63 so that any product of two residues fits comfortably in native
-double-width integers, which is what the compiled scan kernel relies on.
+2^63 for the compiled scan kernel's Montgomery reduction with R = 2^64:
+below 2^63 the double-width sum it reduces stays under 2^128, and one
+conditional subtract brings each product below m.
 """
 
 import math

@@ -16,13 +16,14 @@ reports; triplet_from_values is the one place where three integers
 become a Triplet of Residues, used by find_core_triplets and scan_record.
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from . import kernel
-from .errors import ModulusOverflow, NotAUnit, UndefinedAtMinusOne
+from .errors import MemoryBudgetExceeded, ModulusOverflow, NotAUnit, UndefinedAtMinusOne
 from .primes import odd_primes_in
 from .residues import PrimePowerModulus, Residue, exceeds_bound
 
@@ -96,6 +97,30 @@ def orbit_of(a: Residue) -> Triplet | FixedPoint:
     return Triplet(a, b, c, a.modulus)
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
+# bytes the kernel's class table may take; None skips the check
+TABLE_BUDGET = _physical_memory()
+
+
+def _check_table_budget(p: int) -> None:
+    """Raise MemoryBudgetExceeded if the kernel's table for p, one 8-byte
+    entry per residue class, would exceed TABLE_BUDGET."""
+    need = 8 * p
+    if TABLE_BUDGET is not None and need > TABLE_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"the scan table for p = {p} needs {need} bytes, "
+            f"over the {TABLE_BUDGET}-byte budget (physical memory)"
+        )
+
+
 def triplet_from_values(modulus: PrimePowerModulus, values) -> Triplet:
     """The Triplet whose members are the three plain integers in values."""
     a, b, c = (Residue(v, modulus) for v in values)
@@ -107,10 +132,13 @@ def find_core_triplets(modulus: PrimePowerModulus) -> tuple[list[Triplet], list[
 
     Iterates the p-1 core elements and keeps only orbits whose members
     all lie in the core; at k = 2 those members are exactly the p-th
-    power residues. Both lists are sorted by leading value.
+    power residues. Both lists are sorted by leading value. Raises
+    MemoryBudgetExceeded, before the kernel runs, if its table for p
+    would exceed TABLE_BUDGET.
     """
     if modulus.k < 2:
         raise ValueError("find_core_triplets needs k >= 2; at k = 1 the core is all units")
+    _check_table_budget(modulus.p)
     fixed_values, triplet_values = kernel.scan_core_triplets(modulus.p, modulus.k)
     fixed = [FixedPoint(Residue(v, modulus), modulus) for v in fixed_values]
     return [triplet_from_values(modulus, t) for t in triplet_values], fixed
@@ -140,13 +168,16 @@ def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRecord
     jobs > 1 fans the per-prime work out across processes, in about four
     chunks per worker (the split multiprocessing.Pool.map makes) rather
     than one round trip per prime; the output order still follows the
-    input list.
+    input list. The largest prime's kernel table is checked against
+    TABLE_BUDGET before any prime is scanned.
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
     for p in primes:
         if exceeds_bound(p, k):
             raise ModulusOverflow(f"{p}^{k} exceeds the 2^63 modulus bound")
+    if primes:
+        _check_table_budget(max(primes))
     work = [(p, k) for p in primes]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pkarith import triplets
 from pkarith.cli import main
 from pkarith.report import record_to_dict
 from pkarith.triplets import scan_record
@@ -199,6 +200,29 @@ class TestScan:
         assert code == 3
         assert out == ""
         assert "bound" in err
+
+
+class TestTableBudget:
+    @pytest.mark.parametrize(
+        "argv", [("scan", "3", "200", "2", "--jobs", "2"), ("analyze", "199", "2")]
+    )
+    def test_over_budget_exits_three_naming_p_bytes_and_budget(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("PKARITH_CACHE", raising=False)
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", 1_000)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "p = 199 needs 1592 bytes" in err
+        assert "1000-byte budget" in err
+
+    def test_cached_primes_need_no_table(self, capsys, monkeypatch, tmp_path):
+        cache = str(tmp_path / "scan.jsonl")
+        code, cold, _ = run(capsys, "scan", "3", "200", "2", "--cache", cache)
+        assert code == 0
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", 1_000)
+        code, warm, _ = run(capsys, "scan", "3", "200", "2", "--cache", cache)
+        assert code == 0
+        assert warm == cold
 
 
 class TestScanCache:

@@ -2,11 +2,13 @@
 
 The compiled kernel is built from src/pkarith/_kernel.c into a temporary
 directory whenever a C compiler exists, so these tests never depend on
-an earlier build; they skip only when no compiler is found.
+an earlier build; they skip only when no compiler is found. Under gcc or
+clang the build adds -Wall -Werror, so C code with a warning fails here.
 """
 
 import importlib.util
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -35,10 +37,18 @@ def _c_compiler():
     return shutil.which(shlex.split(cc)[0])
 
 
+def _warning_flags(cc_path):
+    """-Wall -Werror when the compiler says it is gcc or clang, else none."""
+    version = subprocess.run([cc_path, "--version"], capture_output=True, text=True).stdout
+    known = re.search(r"gcc|clang|Free Software Foundation", version, re.IGNORECASE)
+    return ["-Wall", "-Werror"] if known else []
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """pkarith._kernel built from the committed C source and loaded."""
-    if _c_compiler() is None:
+    cc_path = _c_compiler()
+    if cc_path is None:
         return pytest.importorskip(
             "pkarith._kernel",
             reason="no C compiler found (CC or sysconfig CC) to build the "
@@ -48,7 +58,10 @@ def compiled(tmp_path_factory):
     from setuptools.command.build_ext import build_ext
 
     out = tmp_path_factory.mktemp("kernel_build")
-    dist = Distribution({"ext_modules": [Extension("pkarith._kernel", [str(KERNEL_SOURCE)])]})
+    ext = Extension(
+        "pkarith._kernel", [str(KERNEL_SOURCE)], extra_compile_args=_warning_flags(cc_path)
+    )
+    dist = Distribution({"ext_modules": [ext]})
     cmd = build_ext(dist)
     cmd.build_lib = str(out / "lib")
     cmd.build_temp = str(out / "temp")
@@ -144,6 +157,9 @@ def test_backend_name_is_known():
 
 
 def test_backends_agree_at_k2(compiled):
+    # p = 3, 5 and 7 are the walks where p - 1 < 4 or p - 1 = 2 mod 4, so
+    # the compiled kernel's four chains run short or leave steps over:
+    # keep the range starting at 3 and reaching past 7
     primes = list(odd_primes_in(3, 2000))
     mismatched = [
         p
@@ -156,10 +172,18 @@ def test_backends_agree_at_k2(compiled):
 @pytest.mark.parametrize(
     "p,k",
     [(7, 3), (7, 4), (13, 3), (59, 3), (101, 3), (TOP_K4, 4)]
-    + [(p, 5) for p in (3, 5, 7, 31, 59, 211, 1999, TOP_K5)],
+    + [(p, 5) for p in (3, 5, 7, 31, 59, 211, 1999, TOP_K5)]
+    # m just below and just above 2^32, and m above 2^62, where the
+    # compiled kernel's Montgomery sum comes nearest 2^128
+    + [(65_521, 2), (65_537, 2), (2_097_143, 3)],
 )
 def test_backends_agree_at_higher_precision(compiled, p, k):
     assert compiled.scan_core_triplets(p, k) == _kernel_py.scan_core_triplets(p, k)
+
+
+@given(st.sampled_from(list(odd_primes_in(2_000, 10**5))))
+def test_backends_agree_on_random_primes(compiled, p):
+    assert compiled.scan_core_triplets(p, 2) == _kernel_py.scan_core_triplets(p, 2)
 
 
 @given(moduli)
@@ -183,6 +207,8 @@ def test_compiled_rejects_bad_moduli(compiled):
         compiled.scan_core_triplets(6_209, 5)  # 6209^5 > 2^63
     with pytest.raises(ValueError):
         compiled.scan_core_triplets(2, 2)
+    with pytest.raises(ValueError, match="not prime"):
+        compiled.scan_core_triplets(4, 2)  # an even modulus has no Montgomery form
     with pytest.raises(ValueError):
         compiled.scan_core_triplets(7, 0)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pkarith.errors import ModulusOverflow, NotAUnit, UndefinedAtMinusOne
+from pkarith import kernel, triplets
+from pkarith.errors import MemoryBudgetExceeded, ModulusOverflow, NotAUnit, UndefinedAtMinusOne
 from pkarith.groups import is_core_member
 from pkarith.primes import odd_primes_in
 from pkarith.report import record_to_dict, row_from_dict
@@ -194,6 +195,47 @@ class TestScanPrimes:
         (record,) = scan_primes(59, 59, 3)
         assert record.k == 3
         assert record.proper_triplet_count == 0
+
+
+class TestTableBudget:
+    """The kernel's 8-byte-per-class table is checked before it exists;
+    the budget is lowered here, never tested with a real allocation."""
+
+    def test_find_core_triplets_refuses_over_budget(self, monkeypatch):
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", 8 * 59 - 1)
+        with pytest.raises(MemoryBudgetExceeded, match=r"p = 59 needs 472 bytes, over the 471"):
+            find_core_triplets(PrimePowerModulus(59, 2))
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", 8 * 59)
+        assert len(find_core_triplets(PrimePowerModulus(59, 2))[0]) == 4
+
+    def test_scan_checks_the_largest_prime_before_any_kernel_call(self, monkeypatch):
+        def kernel_must_not_run(p, k):
+            raise AssertionError(f"kernel ran for p = {p}")
+
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", 8 * 100)
+        monkeypatch.setattr(kernel, "scan_core_triplets", kernel_must_not_run)
+        with pytest.raises(MemoryBudgetExceeded, match=r"p = 101 needs 808 bytes"):
+            scan_prime_list([3, 101, 59], 2)
+        with pytest.raises(MemoryBudgetExceeded):
+            scan_primes(3, 200, 2, jobs=2)
+
+    def test_no_budget_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", None)
+        (record,) = scan_primes(59, 59, 2)
+        assert record.proper_triplet_count == 4
+
+    def test_budget_is_physical_memory_where_sysconf_tells(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(triplets.os, "sysconf", pages.__getitem__, raising=False)
+        assert triplets._physical_memory() == 4_096_000
+
+        def unsupported(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(triplets.os, "sysconf", unsupported)
+        assert triplets._physical_memory() is None
+        monkeypatch.delattr(triplets.os, "sysconf")
+        assert triplets._physical_memory() is None
 
 
 @st.composite
