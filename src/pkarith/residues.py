@@ -180,14 +180,21 @@ def inv_mod(x: Residue) -> Residue:
 
 @lru_cache(maxsize=None)
 def _smallest_primitive_root(p: int) -> int:
-    """Smallest g generating the units mod p, by order tests on p-1's factors."""
+    """Smallest g generating the units mod p, by order tests on p-1's factors.
+
+    The first g passing them must also satisfy g^(p-1) = 1 mod p; by
+    Lucas' test some g does exactly when p is prime, so a composite p
+    raises ValueError.
+    """
     if p == 3:
         return 2
     cofactors = [(p - 1) // q for q in distinct_prime_factors(p - 1)]
     for g in range(2, p):
         if all(pow(g, c, p) != 1 for c in cofactors):
-            return g
-    raise AssertionError(f"no primitive root below {p}; {p} is not prime")
+            if pow(g, p - 1, p) == 1:
+                return g
+            break
+    raise ValueError(f"{p} is not prime")
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,11 @@ exactly the p-th power residues; the first prime admitting one is 59.
 
 The scan stays on plain integers: per prime, only the two counts and
 the first canonical triple leave the kernel (and cross the process
-pool, in chunks). That row, (p, k, degenerate, proper, first, elapsed),
-is also what the scan cache reader returns per line. scan_record turns a
-row into a ScanRecord, and the CLI calls it only for the primes a scan
-reports; triplet_from_values is the one place where three integers
+pool, in chunks). That ScanRow, (p, k, degenerate, proper, first,
+elapsed), is what scan_prime_list returns, what the scan cache reader
+returns per line (as a plain tuple) and what the CLI prints and caches.
+Only the library's scan_primes turns rows into ScanRecords, through
+scan_record; triplet_from_values is the one place where three integers
 become a Triplet of Residues, used by find_core_triplets and scan_record.
 """
 
@@ -20,7 +21,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kernel
 from .errors import MemoryBudgetExceeded, ModulusOverflow, NotAUnit, UndefinedAtMinusOne
@@ -66,6 +67,18 @@ class ScanRecord:
     degenerate_count: int
     proper_triplet_count: int
     first_proper: Optional[Triplet]
+    elapsed: float
+
+
+class ScanRow(NamedTuple):
+    """Per-prime scan outcome as plain integers; first is the leading
+    canonical triple (a tuple, or a list when read from the cache) or None."""
+
+    p: int
+    k: int
+    degenerate_count: int
+    proper_triplet_count: int
+    first: Optional[tuple[int, int, int]]
     elapsed: float
 
 
@@ -144,15 +157,15 @@ def find_core_triplets(modulus: PrimePowerModulus) -> tuple[list[Triplet], list[
     return [triplet_from_values(modulus, t) for t in triplet_values], fixed
 
 
-def _scan_one(args: tuple[int, int]) -> tuple:
-    """The scan_record arguments for one prime: the counts, the first
-    canonical triple as plain integers, and the kernel's seconds."""
+def _scan_one(args: tuple[int, int]) -> ScanRow:
+    """The row for one prime: the counts, the first canonical triple as
+    plain integers, and the kernel's seconds."""
     p, k = args
     start = time.perf_counter()
     fixed_values, triplet_values = kernel.scan_core_triplets(p, k)
     elapsed = time.perf_counter() - start
     first = triplet_values[0] if triplet_values else None
-    return p, k, len(fixed_values), len(triplet_values), first, elapsed
+    return ScanRow(p, k, len(fixed_values), len(triplet_values), first, elapsed)
 
 
 def scan_record(p, k, degenerate_count, proper_count, first, elapsed) -> ScanRecord:
@@ -162,14 +175,16 @@ def scan_record(p, k, degenerate_count, proper_count, first, elapsed) -> ScanRec
     return ScanRecord(p, k, degenerate_count, proper_count, triplet, elapsed)
 
 
-def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRecord]:
-    """Run find_core_triplets for each listed prime, in listed order.
+def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRow]:
+    """The ScanRow of each listed prime, in listed order, from the kernel
+    that find_core_triplets runs; no Residue is built.
 
     jobs > 1 fans the per-prime work out across processes, in about four
     chunks per worker (the split multiprocessing.Pool.map makes) rather
-    than one round trip per prime; the output order still follows the
-    input list. The largest prime's kernel table is checked against
-    TABLE_BUDGET before any prime is scanned.
+    than one round trip per prime, and starts no more workers than there
+    are chunks; the output order still follows the input list. The
+    largest prime's kernel table is checked against TABLE_BUDGET before
+    any prime is scanned.
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
@@ -180,12 +195,12 @@ def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRecord
         _check_table_budget(max(primes))
     work = [(p, k) for p in primes]
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunksize = -(-len(work) // (4 * jobs))
-            results = list(pool.map(_scan_one, work, chunksize=chunksize))
-    else:
-        results = [_scan_one(item) for item in work]
-    return [scan_record(*result) for result in results]
+        chunksize = -(-len(work) // (4 * jobs))
+        # a forked pool starts all its workers at the first submit
+        workers = min(jobs, -(-len(work) // chunksize))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_scan_one, work, chunksize=chunksize))
+    return [_scan_one(item) for item in work]
 
 
 def scan_primes(p_min: int, p_max: int, k: int, jobs: int = 1) -> list[ScanRecord]:
@@ -198,4 +213,5 @@ def scan_primes(p_min: int, p_max: int, k: int, jobs: int = 1) -> list[ScanRecor
         raise ValueError(f"need 3 <= p_min <= p_max, got [{p_min}, {p_max}]")
     if exceeds_bound(p_max, k):
         raise ModulusOverflow(f"{p_max}^{k} exceeds the 2^63 modulus bound")
-    return scan_prime_list(list(odd_primes_in(p_min, p_max)), k, jobs)
+    rows = scan_prime_list(list(odd_primes_in(p_min, p_max)), k, jobs)
+    return [scan_record(*row) for row in rows]

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from pkarith import triplets
 from pkarith.cli import main
-from pkarith.report import record_to_dict
-from pkarith.triplets import scan_record
+from pkarith.report import row_to_dict
 
 
 def run(capsys, *argv):
@@ -415,13 +414,13 @@ def test_fuzzed_cache_line_is_served_exactly_or_named(line):
         doc = served.get((record["p"], 2))
         if doc is None:  # computed afresh
             del record["elapsed"]
-            fresh = record_to_dict(scan_record(*RECORD_59.values()))
+            fresh = row_to_dict(tuple(RECORD_59.values()))
             del fresh["elapsed"]
             assert record == fresh
             continue
         row = [doc[key] for key in CACHE_KEYS[:4]]
         row += [doc.get("first_proper"), doc.get("elapsed", 0.0)]
-        assert record == record_to_dict(scan_record(*row))
+        assert record == row_to_dict(row)
 
 
 class TestParser:

@@ -211,6 +211,19 @@ def test_compiled_rejects_bad_moduli(compiled):
         compiled.scan_core_triplets(4, 2)  # an even modulus has no Montgomery form
     with pytest.raises(ValueError):
         compiled.scan_core_triplets(7, 0)
+    for p in ODD_COMPOSITES:
+        with pytest.raises(ValueError, match=f"^{p} is not prime"):
+            compiled.scan_core_triplets(p, 2)
+
+
+# 561 is a Carmichael number: every unit passes Fermat's test mod 561
+ODD_COMPOSITES = (9, 15, 21, 25, 91, 561)
+
+
+@pytest.mark.parametrize("p", ODD_COMPOSITES)
+def test_pure_kernel_rejects_odd_composites(p):
+    with pytest.raises(ValueError, match=f"^{p} is not prime"):
+        _kernel_py.scan_core_triplets(p, 2)
 
 
 @pytest.mark.parametrize(

@@ -1,27 +1,30 @@
 """Successor-inverse orbits and the triplet scan."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pkarith import kernel, triplets
+from pkarith.cli import main
 from pkarith.errors import MemoryBudgetExceeded, ModulusOverflow, NotAUnit, UndefinedAtMinusOne
 from pkarith.groups import is_core_member
 from pkarith.primes import odd_primes_in
-from pkarith.report import record_to_dict, row_from_dict
-from pkarith.residues import PrimePowerModulus, Residue
+from pkarith.report import append_scan_cache, row_from_dict, row_to_dict
+from pkarith.residues import PrimePowerModulus, Residue, exceeds_bound
 from pkarith.roots import cubic_roots_of_unity
 from pkarith.triplets import (
     FixedPoint,
     ScanRecord,
+    ScanRow,
     Triplet,
     find_core_triplets,
     orbit_of,
     scan_prime_list,
     scan_primes,
-    scan_record,
     t_map,
 )
 
@@ -138,6 +141,7 @@ class TestScanPrimes:
 
     def test_onset_record(self):
         (record,) = scan_primes(59, 59, 2)
+        assert type(record) is ScanRecord and type(record.first_proper) is Triplet
         assert record.proper_triplet_count == 4
         assert record.first_proper.values() == (298, 1106, 805)
 
@@ -157,20 +161,48 @@ class TestScanPrimes:
         assert stripped(first) == stripped(second)
 
     def test_parallel_matches_serial(self):
-        # serial and pooled records both agree with find_core_triplets
+        # serial and pooled rows both agree with find_core_triplets
         for k, p_max in ((2, 2000), (3, 300), (4, 300), (5, 300)):
             primes = list(odd_primes_in(3, p_max))
             expected = []
             for p in primes:
                 proper, fixed = find_core_triplets(PrimePowerModulus(p, k))
-                first = proper[0] if proper else None
+                first = proper[0].values() if proper else None
                 expected.append((p, k, len(fixed), len(proper), first))
             for jobs in (1, 2):
-                records = scan_prime_list(primes, k, jobs=jobs)
-                assert [
-                    (r.p, r.k, r.degenerate_count, r.proper_triplet_count, r.first_proper)
-                    for r in records
-                ] == expected, (k, jobs)
+                rows = scan_prime_list(primes, k, jobs=jobs)
+                assert all(type(row) is ScanRow for row in rows)
+                assert [row[:5] for row in rows] == expected, (k, jobs)
+
+    def test_pool_starts_no_more_workers_than_chunks(self, monkeypatch, capsys):
+        """A stand-in executor records max_workers and runs the chunks in
+        this process, so no worker process is ever started."""
+        monkeypatch.delenv("PKARITH_CACHE", raising=False)
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(triplets, "ProcessPoolExecutor", RecordingPool)
+        primes = list(odd_primes_in(3, 100))
+        assert len(primes) == 24
+        serial = [row[:5] for row in scan_prime_list(primes, 2)]
+        # 24 primes: one per chunk below 6 jobs, chunks of 3 with 2 jobs
+        for jobs, workers in ((5000, 24), (24, 24), (7, 7), (2, 2)):
+            assert [row[:5] for row in scan_prime_list(primes, 2, jobs=jobs)] == serial
+            assert started[-1] == workers, jobs
+        assert main(["scan", "3", "100", "2", "--jobs", "5000"]) == 0
+        assert started[-1] == 24
 
     def test_triplet_primes_below_200(self):
         records = scan_primes(3, 200, 2)
@@ -238,18 +270,46 @@ class TestTableBudget:
         assert triplets._physical_memory() is None
 
 
+# every (p, 2, first triplet) below 200; no proper triplet exists for
+# k >= 3 at small p, so larger moduli are drawn without one
+KNOWN_FIRSTS = [
+    (p, 2, kernel.scan_core_triplets(p, 2)[1][0]) for p in (59, 79, 83, 179, 193)
+]
+
+
+def _largest_base(k: int) -> int:
+    """The largest p with p^k below the 2^63 modulus bound."""
+    p = int(2 ** (63 / k)) + 2
+    while exceeds_bound(p, k):
+        p -= 1
+    return p
+
+
 @st.composite
-def scan_records(draw):
-    k = draw(st.integers(2, 4))
-    p = draw(st.sampled_from([3, 7, 59, 79, 83, 179, 193, 263]))
-    proper, _ = find_core_triplets(PrimePowerModulus(p, k))
-    first = draw(st.sampled_from([None, *proper]))
-    proper_count = 0 if first is None else draw(st.integers(1, 10**6))
-    elapsed = round(draw(st.floats(0, 1e3)), 6)
-    return ScanRecord(p, k, draw(st.integers(0, 10**6)), proper_count, first, elapsed)
+def scan_rows(draw) -> ScanRow:
+    if draw(st.booleans()):
+        p, k, first = draw(st.sampled_from(KNOWN_FIRSTS))
+        first = draw(st.sampled_from([first, list(first)]))
+        proper = draw(st.integers(1, 10**6))
+    else:
+        k = draw(st.integers(2, 39))  # 3^39 < 2^63 < 3^40
+        top = _largest_base(k)
+        p = draw(st.integers(3, top) | st.integers(max(3, top - 100), top))
+        p -= 1 - p % 2  # odd, still >= 3
+        first, proper = None, 0
+    elapsed = draw(st.integers(0, 10**6) | st.floats(0, 1e3))
+    return ScanRow(p, k, draw(st.integers(0, 10**6)), proper, first, elapsed)
 
 
-@given(scan_records())
-def test_cache_record_round_trip(record):
-    line = json.dumps(record_to_dict(record))
-    assert scan_record(*row_from_dict(json.loads(line))) == record
+@given(st.lists(scan_rows(), max_size=4))
+def test_cache_record_round_trip(rows):
+    """Each cache line is json.dumps(row_to_dict(row)), byte for byte,
+    and reads back to the row, elapsed rounded to the microsecond."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.jsonl"
+        append_scan_cache(path, rows)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines == [json.dumps(row_to_dict(row)) + "\n" for row in rows]
+    for line, row in zip(lines, rows):
+        first = None if row.first is None else list(row.first)
+        assert row_from_dict(json.loads(line)) == (*row[:4], first, round(row.elapsed, 6))
