@@ -19,14 +19,19 @@ def core_table(p: int, k: int) -> tuple[int, list[int]]:
     and by_class[0] = 0.
 
     The core has exactly one element in every nonzero class mod p, so the
-    table is filled by one walk over the powers of the core generator.
+    table is filled from the powers of the core generator h. Only half of
+    them are walked: the core is cyclic of order p-1 and holds -1, so
+    -1 = h^((p-1)/2) and h^(i + (p-1)/2) = m - h^i. Each element e of
+    class r also fills class p - r with m - e.
     """
     m = p**k
     h = pow(_primitive_root_value(p, k), p ** (k - 1), m)
     by_class = [0] * p
     e = 1
-    for _ in range(p - 1):
-        by_class[e % p] = e
+    for _ in range((p - 1) // 2):
+        r = e % p
+        by_class[r] = e
+        by_class[p - r] = m - e
         e = e * h % m
     return m, by_class
 

@@ -205,7 +205,8 @@ def _cmd_scan(args) -> int:
             "k": args.k,
             "jobs": args.jobs,
         }
-        _emit(report.envelope("scan", params, report.scan_to_dict(rows)))
+        summary = {"summary": report.scan_summary(rows)}
+        _emit(report.envelope("scan", params, summary, rows))
     return EXIT_OK
 
 

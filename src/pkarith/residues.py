@@ -178,7 +178,13 @@ def inv_mod(x: Residue) -> Residue:
 # --- generators and logarithms ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# entries kept by the two primitive-root caches below: one `analyze` asks
+# for at most three keys, (p, k), (p, 1) and (p, 2), while a scan asks
+# once per prime and would otherwise keep every entry it never hits
+ROOT_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _smallest_primitive_root(p: int) -> int:
     """Smallest g generating the units mod p, by order tests on p-1's factors.
 
@@ -197,7 +203,7 @@ def _smallest_primitive_root(p: int) -> int:
     raise ValueError(f"{p} is not prime")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _primitive_root_value(p: int, k: int) -> int:
     g = _smallest_primitive_root(p)
     if k >= 2 and pow(g, p - 1, p * p) == 1:

@@ -123,13 +123,14 @@ def _physical_memory() -> Optional[int]:
 TABLE_BUDGET = _physical_memory()
 
 
-def _check_table_budget(p: int) -> None:
-    """Raise MemoryBudgetExceeded if the kernel's table for p, one 8-byte
-    entry per residue class, would exceed TABLE_BUDGET."""
-    need = 8 * p
+def _check_table_budget(p: int, entry_bytes: int = 8, table: str = "scan table") -> None:
+    """Raise MemoryBudgetExceeded if a table for p, one entry of
+    entry_bytes per residue class, would exceed TABLE_BUDGET. The default
+    is the kernel's class table."""
+    need = entry_bytes * p
     if TABLE_BUDGET is not None and need > TABLE_BUDGET:
         raise MemoryBudgetExceeded(
-            f"the scan table for p = {p} needs {need} bytes, "
+            f"the {table} for p = {p} needs {need} bytes, "
             f"over the {TABLE_BUDGET}-byte budget (physical memory)"
         )
 

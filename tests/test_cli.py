@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkarith import triplets
+from pkarith import groups, kernel, triplets
 from pkarith.cli import main
-from pkarith.report import row_to_dict
+from pkarith.report import envelope, load_scan_cache, row_to_dict, scan_to_dict
 
 
 def run(capsys, *argv):
@@ -176,6 +176,19 @@ class TestScan:
         assert doc["report"]["summary"]["onset_prime"] == 59
         assert doc["report"]["summary"]["first_proper"] == [298, 1106, 805]
 
+    @pytest.mark.parametrize(
+        "argv", [("3", "400", "2"), ("3", "300", "5", "--jobs", "2"), ("8", "10", "2")]
+    )
+    def test_structured_is_the_json_dumps_document_of_its_rows(self, capsys, tmp_path, argv):
+        """Records render from a template; the cache holds the same rows,
+        so json.dumps of scan_to_dict over them gives the same bytes."""
+        cache = tmp_path / "scan.jsonl"
+        code, out, _ = run(capsys, "scan", *argv, "--cache", str(cache), "--format", "structured")
+        assert code == 0
+        rows = sorted(load_scan_cache(cache).values())
+        params = json.loads(out)["params"]
+        assert out == envelope("scan", params, scan_to_dict(rows))
+
     def test_overflow_range(self, capsys):
         code, _, err = run(capsys, "scan", "3", "4000000000", "2")
         assert code == 3
@@ -213,6 +226,24 @@ class TestTableBudget:
         assert out == ""
         assert "p = 199 needs 1592 bytes" in err
         assert "1000-byte budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("analyze", "199", "2"), ("analyze", "199", "1"), ("roots", "199"), ("core-theorem", "199")],
+    )
+    def test_core_walk_over_budget_exits_three_before_any_walk(self, capsys, monkeypatch, argv):
+        def must_not_run(*args):
+            raise AssertionError(f"a walk started: {args}")
+
+        # room for the kernel's 8-byte table, not for the Python core walk
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", 8 * 199)
+        monkeypatch.setattr(kernel, "scan_core_triplets", must_not_run)
+        monkeypatch.setattr(groups, "core_project", must_not_run)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        need = groups.CORE_ELEMENT_BYTES * 199
+        assert f"the core walk for p = 199 needs {need} bytes, over the 1592-byte budget" in err
 
     def test_cached_primes_need_no_table(self, capsys, monkeypatch, tmp_path):
         cache = str(tmp_path / "scan.jsonl")

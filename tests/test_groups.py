@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from pkarith.errors import NotAUnit
+from pkarith import triplets
+from pkarith.errors import MemoryBudgetExceeded, NotAUnit
 from pkarith.groups import (
+    CORE_ELEMENT_BYTES,
     core_elements,
     core_project,
     decompose_unit,
@@ -88,6 +90,14 @@ class TestCoreElements:
             core_project(Residue(v, mod)).value for v in range(1, 49) if v % 7
         }
         assert image == {n.value for n in core_elements(mod)}
+
+    def test_refuses_a_walk_over_the_memory_budget(self, monkeypatch):
+        # the budget is lowered here, never tested with a real allocation
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", CORE_ELEMENT_BYTES * 59 - 1)
+        with pytest.raises(MemoryBudgetExceeded, match=r"core walk for p = 59 needs"):
+            core_elements(PrimePowerModulus(59, 2))
+        monkeypatch.setattr(triplets, "TABLE_BUDGET", CORE_ELEMENT_BYTES * 59)
+        assert len(core_elements(PrimePowerModulus(59, 2))) == 58
 
 
 class TestMembership:

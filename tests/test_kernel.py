@@ -126,6 +126,14 @@ def test_pair_set_matches_oracle_and_is_closed_under_t(pk):
 
 
 @given(moduli)
+def test_core_table_mirrors_each_class_by_minus_one(pk):
+    # the half walk fills class p - r with m - by_class[r]: -1 is in the core
+    p, k = pk
+    m, by_class = _kernel_py.core_table(p, k)
+    assert all(by_class[p - r] == m - by_class[r] for r in range(1, p))
+
+
+@given(moduli)
 def test_pair_set_size_is_three_per_triplet_plus_fixed(pk):
     p, k = pk
     _, by_class = _kernel_py.core_table(p, k)
@@ -157,9 +165,10 @@ def test_backend_name_is_known():
 
 
 def test_backends_agree_at_k2(compiled):
-    # p = 3, 5 and 7 are the walks where p - 1 < 4 or p - 1 = 2 mod 4, so
-    # the compiled kernel's four chains run short or leave steps over:
-    # keep the range starting at 3 and reaching past 7
+    # the compiled kernel's four chains share the half walk of (p - 1) / 2
+    # steps: they run empty for p = 3, 5 and 7, where (p - 1) / 2 < 4, and
+    # leave steps over for every p that is not 1 mod 8, where (p - 1) / 2
+    # is not a multiple of 4; keep the range starting at 3 and reaching past 7
     primes = list(odd_primes_in(3, 2000))
     mismatched = [
         p

@@ -13,7 +13,14 @@ from pkarith.cli import main
 from pkarith.errors import MemoryBudgetExceeded, ModulusOverflow, NotAUnit, UndefinedAtMinusOne
 from pkarith.groups import is_core_member
 from pkarith.primes import odd_primes_in
-from pkarith.report import append_scan_cache, row_from_dict, row_to_dict
+from pkarith.report import (
+    append_scan_cache,
+    envelope,
+    row_from_dict,
+    row_to_dict,
+    scan_summary,
+    scan_to_dict,
+)
 from pkarith.residues import PrimePowerModulus, Residue, exceeds_bound
 from pkarith.roots import cubic_roots_of_unity
 from pkarith.triplets import (
@@ -313,3 +320,16 @@ def test_cache_record_round_trip(rows):
     for line, row in zip(lines, rows):
         first = None if row.first is None else list(row.first)
         assert row_from_dict(json.loads(line)) == (*row[:4], first, round(row.elapsed, 6))
+
+
+@given(
+    st.lists(scan_rows(), max_size=4),
+    st.fixed_dictionaries(
+        {"p_min": st.integers(3, 2**62), "p_max": st.integers(3, 2**62), "k": st.integers(2, 62)}
+    ),
+)
+def test_scan_envelope_from_rows(rows, params):
+    """The records rendered from the template are json.dumps's, byte for
+    byte, for no rows too."""
+    expected = envelope("scan", params, scan_to_dict(rows))
+    assert envelope("scan", params, {"summary": scan_summary(rows)}, rows) == expected
