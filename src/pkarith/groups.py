@@ -42,7 +42,7 @@ class CoreSet:
     modulus: PrimePowerModulus
 
     def __contains__(self, item):
-        return item in self.elements
+        return isinstance(item, Residue) and item.modulus == self.modulus and is_core_member(item)
 
     def __iter__(self):
         return iter(self.elements)

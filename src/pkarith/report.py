@@ -235,6 +235,12 @@ def build_roots(p: int, k: int) -> RootsReport:
         cubic_key = (lo.value, hi.value)
     except NoCubicRoots:
         cubic_key = None
+    else:
+        if not any(pair.key() == cubic_key for pair in pairs):
+            raise AssertionError(
+                f"the Hensel-lifted cubic pair {cubic_key} mod {p}^{k} "
+                "is not among the enumerated pairs"
+            )
     return RootsReport(modulus, pairs, cubic_key)
 
 

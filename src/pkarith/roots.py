@@ -2,17 +2,22 @@
 
 A case-1 FLT root pair is a pair of units (a, b) with a^p + b^p = -1
 mod p^k. Mod p^2 every such pair projects onto a pair of core elements
-summing to -1, so the enumeration works at the core level. Nontrivial
-cubic roots of 1 (present iff p = 1 mod 6) give the pair {a, a^-1} and
-are lifted to higher precision by Newton iteration.
+summing to -1, whose members are the scan kernel's set S: its fixed
+points and the members of its 3-cycles. Nontrivial cubic roots of 1
+(present iff p = 1 mod 6) are those fixed points; they give the pair
+{a, a^-1} and are lifted to higher precision by Newton iteration.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import kernel
 from .errors import Case2Excluded, NoCubicRoots, NotARoot, NotAUnit, SingularRoot
-from .groups import core_elements, is_pth_power_residue, units_order
+# core_elements is unused, but perfbench/tracer.py patches it here by name
+# until the tracer moves to stage names (ROADMAP item 1)
+from .groups import core_elements, is_pth_power_residue, units_order  # noqa: F401
 from .residues import PrimePowerModulus, Residue, discrete_log, primitive_root
+from .triplets import _check_table_budget
 
 CUBIC_POLY = (1, 1, 1)  # x^2 + x + 1, constant coefficient first
 
@@ -134,20 +139,14 @@ def _pair_from_values(alpha: int, beta: int, modulus: PrimePowerModulus) -> FltR
 
 
 def enumerate_core_root_pairs(modulus: PrimePowerModulus) -> list[FltRootPair]:
-    """All unordered core pairs {a, b} with a + b = -1 mod p^k, a <= b.
-
-    Runs in O(p) via complement lookup over the p-1 core elements.
-    """
-    m = modulus.m
-    core = [n.value for n in core_elements(modulus)]
-    core_set = set(core)
-    pairs = []
-    for alpha in core:
-        beta = (m - 1 - alpha) % m
-        if beta in core_set and alpha <= beta:
-            pairs.append(_pair_from_values(alpha, beta, modulus))
-    pairs.sort(key=FltRootPair.key)
-    return pairs
+    """All unordered core pairs {a, b} with a + b = -1 mod p^k, a <= b,
+    read from the kernel's S. Raises MemoryBudgetExceeded, before the
+    kernel runs, if its table for p would exceed triplets.TABLE_BUDGET."""
+    p, m = modulus.p, modulus.m
+    _check_table_budget(p)
+    fixed, triplets = kernel.scan_core_triplets(p, modulus.k)
+    members = sorted(set(fixed).union(*triplets))
+    return [_pair_from_values(a, m - 1 - a, modulus) for a in members if a <= m - 1 - a]
 
 
 def enumerate_flt_roots_mod_p2(p: int) -> list[FltRootPair]:

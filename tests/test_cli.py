@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkarith import groups, kernel, triplets
+from pkarith import groups, kernel, report, triplets
 from pkarith.cli import main
 from pkarith.report import envelope, load_scan_cache, row_to_dict, scan_to_dict
+from pkarith.residues import PrimePowerModulus
+from pkarith.roots import CubicRootTriple, cubic_roots_of_unity
 
 
 def run(capsys, *argv):
@@ -98,6 +100,14 @@ class TestRoots:
         for a, b in [(298, 3182), (299, 3181), (805, 2675)]:
             assert f"({a}, {b})" in out
         assert "cubic-root pair" not in out  # 59 is 5 mod 6
+
+    def test_hensel_pair_missing_from_the_enumeration_is_an_error(self, monkeypatch):
+        mod = PrimePowerModulus(13, 2)
+        one, lo, hi = cubic_roots_of_unity(mod).roots
+        forged = CubicRootTriple((one, lo.shift(1), hi), mod)
+        monkeypatch.setattr(report, "cubic_roots_of_unity", lambda modulus: forged)
+        with pytest.raises(AssertionError, match=r"\(23, 146\) mod 13\^2 is not among"):
+            report.build_roots(13, 2)
 
     def test_structured(self, capsys):
         code, out, _ = run(capsys, "roots", "13", "2", "--format", "structured")
@@ -216,7 +226,8 @@ class TestScan:
 
 class TestTableBudget:
     @pytest.mark.parametrize(
-        "argv", [("scan", "3", "200", "2", "--jobs", "2"), ("analyze", "199", "2")]
+        "argv",
+        [("scan", "3", "200", "2", "--jobs", "2"), ("analyze", "199", "2"), ("roots", "199")],
     )
     def test_over_budget_exits_three_naming_p_bytes_and_budget(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("PKARITH_CACHE", raising=False)
@@ -229,7 +240,12 @@ class TestTableBudget:
 
     @pytest.mark.parametrize(
         "argv",
-        [("analyze", "199", "2"), ("analyze", "199", "1"), ("roots", "199"), ("core-theorem", "199")],
+        [
+            ("analyze", "199", "2"),
+            ("analyze", "199", "1"),
+            ("analyze", "199", "3"),
+            ("core-theorem", "199"),
+        ],
     )
     def test_core_walk_over_budget_exits_three_before_any_walk(self, capsys, monkeypatch, argv):
         def must_not_run(*args):
@@ -244,6 +260,17 @@ class TestTableBudget:
         assert out == ""
         need = groups.CORE_ELEMENT_BYTES * 199
         assert f"the core walk for p = 199 needs {need} bytes, over the 1592-byte budget" in err
+
+    def test_roots_runs_no_core_walk(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "roots", "199", "2")
+
+        def must_not_run(*args):
+            raise AssertionError(f"a core walk started: {args}")
+
+        monkeypatch.setattr(groups, "core_project", must_not_run)
+        code, out, _ = run(capsys, "roots", "199", "2")
+        assert code == 0
+        assert out == expected
 
     def test_cached_primes_need_no_table(self, capsys, monkeypatch, tmp_path):
         cache = str(tmp_path / "scan.jsonl")

@@ -119,6 +119,18 @@ class TestMembership:
         with pytest.raises(NotAUnit):
             is_pth_power_residue(res(14, 7, 2))
 
+    @pytest.mark.parametrize("p,k", [(7, 2), (13, 2), (5, 3)])
+    def test_core_set_membership_matches_the_element_scan(self, p, k):
+        mod = PrimePowerModulus(p, k)
+        core = core_elements(mod)
+        for v in range(mod.m):
+            n = Residue(v, mod)
+            assert (n in core) == (n in core.elements)
+        other = PrimePowerModulus(p, k + 1)
+        for n in core.elements:
+            assert n.value not in core
+            assert Residue(n.value, other) not in core
+
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_fermat_subgroup_equals_core_at_k2(self, p):
         mod = PrimePowerModulus(p, 2)

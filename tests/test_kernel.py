@@ -22,8 +22,11 @@ from hypothesis import strategies as st
 
 from pkarith import _kernel_py, kernel
 from pkarith.cli import main
+from pkarith.groups import core_elements
 from pkarith.kernel import BACKEND
 from pkarith.primes import odd_primes_in
+from pkarith.residues import PrimePowerModulus
+from pkarith.roots import _pair_from_values, enumerate_core_root_pairs
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pkarith" / "_kernel.c"
 
@@ -223,6 +226,44 @@ def test_compiled_rejects_bad_moduli(compiled):
     for p in ODD_COMPOSITES:
         with pytest.raises(ValueError, match=f"^{p} is not prime"):
             compiled.scan_core_triplets(p, 2)
+
+
+# --- FLT root pairs read from S ----------------------------------------------
+
+
+def reference_core_root_pairs(modulus):
+    """The pairs a + b = -1 by complement lookup over the Python core walk,
+    without the kernel, sorted by key."""
+    m = modulus.m
+    core = [n.value for n in core_elements(modulus)]
+    core_set = set(core)
+    keys = sorted((a, m - 1 - a) for a in core if m - 1 - a in core_set and a <= m - 1 - a)
+    return [_pair_from_values(a, b, modulus) for a, b in keys]
+
+
+def pairs_on(backend, modulus):
+    """enumerate_core_root_pairs with backend as the scan kernel."""
+    saved = kernel.scan_core_triplets
+    kernel.scan_core_triplets = backend.scan_core_triplets
+    try:
+        return enumerate_core_root_pairs(modulus)
+    finally:
+        kernel.scan_core_triplets = saved
+
+
+pair_moduli = st.tuples(st.sampled_from(SMALL_PRIMES), st.integers(1, 4))
+
+
+@given(pair_moduli)
+def test_pure_kernel_pairs_match_the_core_walk(pk):
+    modulus = PrimePowerModulus(*pk)
+    assert pairs_on(_kernel_py, modulus) == reference_core_root_pairs(modulus)
+
+
+@given(pair_moduli)
+def test_compiled_kernel_pairs_match_the_core_walk(compiled, pk):
+    modulus = PrimePowerModulus(*pk)
+    assert pairs_on(compiled, modulus) == reference_core_root_pairs(modulus)
 
 
 # 561 is a Carmichael number: every unit passes Fermat's test mod 561

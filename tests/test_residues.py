@@ -191,8 +191,12 @@ class TestPrimitiveRootCaches:
             assert main(["analyze", "61", str(k)]) == 0
         for cached in self.CACHES:
             info = cached.cache_info()
-            assert info.hits > 0
             assert info.currsize == info.misses  # every key it asked is still held
+        assert residues._primitive_root_value.cache_info().hits > 0
+        if k >= 2:
+            # at k = 1 only the kernel asks for p's root a second time, for
+            # the pairs mod p^2, and the compiled kernel finds its own
+            assert residues._smallest_primitive_root.cache_info().hits > 0
 
 
 class TestDiscreteLog:
