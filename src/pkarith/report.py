@@ -12,6 +12,8 @@ anywhere on the scan path.
 
 import json
 import math
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -19,7 +21,7 @@ from typing import Optional
 from ._version import __version__
 from .errors import CorruptCache, ModulusOverflow, NoCubicRoots
 from .groups import CoreSet, GroupStructure, core_elements, group_structure
-from .residues import PrimePowerModulus, Residue, exceeds_bound, to_padic
+from .residues import MODULUS_BOUND, PrimePowerModulus, Residue, exceeds_bound, to_padic
 from .roots import (
     CUBIC_POLY,
     CubicRootTriple,
@@ -371,7 +373,12 @@ def row_to_dict(row: ScanRow) -> dict:
 def _check_first_proper(p: int, k: int, first) -> None:
     """A cheap triplet check: the three members close the t-map chain
     (a+1)b = (b+1)c = (c+1)a = -1 and lie in the core, canonically
-    rotated; O(log m) each, no primality test and no core walk."""
+    rotated; O(log m), no primality test and no core walk.
+
+    Two pow calls suffice: once the chain closes, b = -1/(a+1) and
+    c = -(a+1)/a, so abc = 1 and c = (ab)^-1 is in the core whenever a
+    and b are.
+    """
     m = p**k
     if not (
         type(first) is list
@@ -381,8 +388,7 @@ def _check_first_proper(p: int, k: int, first) -> None:
         raise CorruptCache(f"first_proper must be three residues in (0, {m}), got {first!r}")
     a, b, c = first
     closes = (a + 1) * b % m == (b + 1) * c % m == (c + 1) * a % m == m - 1
-    in_core = pow(a, p - 1, m) == pow(b, p - 1, m) == pow(c, p - 1, m) == 1
-    if not (closes and in_core and a < b and a < c):
+    if not (closes and a < b and a < c and pow(a, p - 1, m) == pow(b, p - 1, m) == 1):
         raise CorruptCache(f"first_proper {first} is not a canonical core triplet mod {p}^{k}")
 
 
@@ -440,8 +446,25 @@ def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
     row (see row_from_dict); the last line for a key wins. No modulus,
     residue or record is built here, and the rows stay plain tuples.
 
+    A file whose every line is in the form append_scan_cache writes is
+    tokenized by one regex pass, block by block, and each row gets
+    row_from_dict's checks in one loop. Any other file, or one with a row
+    that fails a check, is read again line by line as JSON
+    (_read_cache_lines), which gives the same rows and names the first
+    bad line.
+
     Raises CorruptCache naming the first malformed line.
     """
+    if not path.exists():
+        return {}
+    with path.open("rb") as handle:
+        rows = _read_written_cache(handle)
+    return _read_cache_lines(path) if rows is None else rows
+
+
+def _read_cache_lines(path: Path) -> dict[tuple[int, int], tuple]:
+    """load_scan_cache for any file: each line parsed as JSON and checked
+    by row_from_dict."""
     rows: dict[tuple[int, int], tuple] = {}
     if not path.exists():
         return rows
@@ -459,6 +482,58 @@ def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
     return rows
 
 
+# bytes read per regex pass, far longer than any line the writer makes.
+# A pass's tokens take about as much memory as its text, so the read
+# holds little beyond the rows it returns.
+_CACHE_BLOCK = 1 << 14
+
+
+def _read_written_cache(handle) -> Optional[dict[tuple[int, int], tuple]]:
+    """The rows of a cache file that append_scan_cache wrote, or None when
+    a line is in another form or fails one of row_from_dict's checks.
+
+    Each block of whole lines is tokenized by _CACHE_LINE_PATTERN; every
+    line in it matches exactly when the matches, at most one per line,
+    number its newlines. The regex admits only non-negative integers of at
+    most 19 digits and a float elapsed, so the checks left are the ones
+    below.
+    """
+    findall = re.compile(_CACHE_LINE_PATTERN, re.MULTILINE).findall
+    rows: dict[tuple[int, int], tuple] = {}
+    tail = b""
+    while block := handle.read(_CACHE_BLOCK):
+        block = tail + block
+        end = block.rfind(b"\n") + 1
+        if not end:  # a line longer than a block, or a last line with no newline
+            return None
+        tail = block[end:]
+        lines = findall(block, 0, end)
+        if len(lines) != block.count(b"\n", 0, end):
+            return None
+        for p, k, degenerate, proper, a, b, c, elapsed in lines:
+            p, k, proper, elapsed = int(p), int(k), int(proper), float(elapsed)
+            # k is bounded before p**k is formed; a is b"" for a null
+            # first_proper, which must be null exactly when proper is 0
+            if not (
+                p & 1
+                and p >= 3
+                and 2 <= k < 63
+                and p**k < MODULUS_BOUND
+                and elapsed < math.inf
+                and bool(a) == bool(proper)
+            ):
+                return None
+            first = None
+            if a:
+                first = [int(a), int(b), int(c)]
+                try:
+                    _check_first_proper(p, k, first)
+                except CorruptCache:
+                    return None
+            rows[p, k] = (p, k, int(degenerate), proper, first, elapsed)
+    return None if tail else rows  # a last line with no newline
+
+
 # json.dumps(row_to_dict(row)) for a row of ints and a finite elapsed:
 # JSON writes both with their repr, as %d and %r do. A second encoder of
 # that document, kept for speed (2.8 vs 7.1 ms per 1,006 rows on a
@@ -468,9 +543,25 @@ _CACHE_LINE = (
     '"first_proper": %s, "elapsed": %r}\n'
 )
 
+# One line as _CACHE_LINE writes it, for load_scan_cache's one-pass read,
+# in MULTILINE mode. Each integer is a JSON integer of at most 19 digits,
+# so int() never sees an overlong one. elapsed matches only the float
+# forms repr writes, which hold a "." or an "e": an integer elapsed, which
+# JSON reads as an int, sends the file to the per-line reader. Compiled
+# on first use and cached by re, so that an import does not pay the
+# 0.5 ms compile.
+_INT = rb"(0|[1-9][0-9]{0,18})"
+_CACHE_LINE_PATTERN = (
+    rb'^\{"p": ' + _INT + rb', "k": ' + _INT
+    + rb', "degenerate_count": ' + _INT + rb', "proper_triplet_count": ' + _INT
+    + rb', "first_proper": (?:null|\[' + _INT + rb", " + _INT + rb", " + _INT + rb"\])"
+    + rb', "elapsed": ((?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+))\}$'
+)
+
 
 def append_scan_cache(path: Path, rows: list[ScanRow]) -> None:
-    """Append one JSON line per row, in one write."""
+    """Append one JSON line per row, in one write, starting on a fresh line
+    if the file's last line has no newline."""
     text = "".join(
         [
             _CACHE_LINE
@@ -486,8 +577,12 @@ def append_scan_cache(path: Path, rows: list[ScanRow]) -> None:
         ]
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(text)
+    with path.open("a+b") as handle:
+        if text and handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                text = "\n" + text
+        handle.write(text.encode())
 
 
 def scan_to_text(rows: list[ScanRow], k: int, signed: bool = False) -> str:

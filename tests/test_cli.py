@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pkarith import groups, kernel, report, triplets
 from pkarith.cli import main
+from pkarith.errors import CorruptCache
 from pkarith.report import envelope, load_scan_cache, row_to_dict, scan_to_dict
 from pkarith.residues import PrimePowerModulus
 from pkarith.roots import CubicRootTriple, cubic_roots_of_unity
@@ -357,6 +358,12 @@ class TestScanCache:
             b'"first_proper": null, "elapsed": Infinity}',
             b'{"p": 53, "k": 2, "degenerate_count": 0, "proper_triplet_count": 0, '
             b'"first_proper": null, "elapsed": -0.5}',
+            b'{"p": 53, "k": 2, "degenerate_count": 0, "proper_triplet_count": 0, '
+            b'"first_proper": null, "elapsed": 1e+400}',
+            b'{"p": 10000000000000000001, "k": 2, "degenerate_count": 0, '
+            b'"proper_triplet_count": 0, "first_proper": null, "elapsed": 0.0}',
+            b'{"p": ' + b"9" * 5000 + b', "k": 2, "degenerate_count": 0, '
+            b'"proper_triplet_count": 0, "first_proper": null, "elapsed": 0.0}',
         ],
         ids=[
             "no-k",
@@ -369,6 +376,9 @@ class TestScanCache:
             "elapsed-nan",
             "elapsed-infinity",
             "elapsed-negative",
+            "elapsed-overflow",
+            "p-20-digits",
+            "p-5000-digits",
         ],
     )
     def test_bad_record_exits_four_naming_its_line(self, capsys, tmp_path, line):
@@ -380,6 +390,35 @@ class TestScanCache:
         assert code == 4
         assert out == ""
         assert err.startswith("error: corrupt cache file: line 2 of ")
+
+    def test_append_after_a_last_line_with_no_newline(self, capsys, tmp_path):
+        cache = tmp_path / "scan.jsonl"
+        run(capsys, "scan", "53", "59", "2", "--cache", str(cache))
+        cache.write_bytes(cache.read_bytes().rstrip(b"\n"))
+        code, _, _ = run(capsys, "scan", "3", "30", "2", "--cache", str(cache))
+        assert code == 0
+        lines = cache.read_bytes().splitlines()
+        assert len(lines) == 11  # 53, 59, then the nine primes in [3, 30]
+        assert all(json.loads(line) for line in lines)
+        code, warm, err = run(capsys, "scan", "3", "60", "2", "--cache", str(cache))
+        assert (code, err) == (0, "")
+        code, cold, _ = run(capsys, "scan", "3", "60", "2")
+        assert warm == cold
+
+    def test_program_written_cache_is_read_in_one_pass(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "scan.jsonl"
+        code, cold, _ = run(capsys, "scan", "3", "200", "2", "--cache", str(cache))
+        assert code == 0
+        expected = report._read_cache_lines(cache)
+
+        def must_not_run(path):
+            raise AssertionError("the per-line reader ran on a program-written cache")
+
+        monkeypatch.setattr(report, "_read_cache_lines", must_not_run)
+        assert repr(load_scan_cache(cache)) == repr(expected)
+        code, warm, _ = run(capsys, "scan", "3", "200", "2", "--cache", str(cache))
+        assert code == 0
+        assert warm == cold
 
     def test_different_precision_not_served_from_cache(self, capsys, tmp_path):
         cache = tmp_path / "scan.jsonl"
@@ -479,6 +518,155 @@ def test_fuzzed_cache_line_is_served_exactly_or_named(line):
         row = [doc[key] for key in CACHE_KEYS[:4]]
         row += [doc.get("first_proper"), doc.get("elapsed", 0.0)]
         assert record == row_to_dict(row)
+
+
+# --- the one-pass reader against the per-line reader -------------------------
+
+# a real first triplet at each of these moduli
+REAL_FIRSTS = [(p, 2, list(kernel.scan_core_triplets(p, 2)[1][0])) for p in (59, 79, 83)]
+
+
+def _base_for(k: int) -> int:
+    """The largest p with p^k below 2^63 (3 for a k outside [1, 62])."""
+    if not 1 <= k < 63:
+        return 3
+    p = int(2 ** (63 / k)) + 2
+    while p**k >= 1 << 63:
+        p -= 1
+    return p
+
+
+@st.composite
+def valid_rows(draw) -> tuple:
+    """A row that passes every check, with elapsed in each form repr gives
+    it (p = 9 passes: a cache row's p is not re-tested for primality)."""
+    if draw(st.booleans()):
+        p, k, first = draw(st.sampled_from(REAL_FIRSTS))
+        proper = draw(st.integers(1, 10**6))
+    else:
+        k = draw(st.integers(2, 39))  # 3^39 < 2^63 < 3^40
+        top = _base_for(k)
+        p = draw(st.integers(3, min(top, 10**6)) | st.integers(max(3, top - 4), top))
+        p -= 1 - p % 2  # odd, still >= 3
+        first, proper = None, 0
+    elapsed = draw(
+        st.sampled_from([0.0, 1e-06, 3.6e-05, 0.5, 123.456789, 9999999999999998.0, 1e16])
+        | st.floats(0, 1e16)
+    )
+    return (p, k, draw(st.integers(0, 10**6)), proper, first, elapsed)
+
+
+@st.composite
+def off_rows(draw) -> tuple:
+    """A valid row with one field the checks reject, or that the writer
+    never writes (an integer elapsed, which JSON reads as an int)."""
+    p, k, degenerate, proper, first, elapsed = draw(valid_rows())
+    field = draw(st.sampled_from(["p", "k", "proper", "first", "elapsed"]))
+    if field == "p":
+        p = draw(st.sampled_from([1, 4, 58, _base_for(k) + 2, 10**19 + 1]))
+    elif field == "k":
+        k = draw(st.sampled_from([0, 1, 63, 64, k + 30]))
+    elif field == "proper":
+        proper, first = (0, first) if first else (1, None)
+    elif field == "first":
+        forged = [first[1:] + first[:1], [1, 2, 3], [0, 1, 2]] if first else [[1, 2, 3]]
+        first, proper = draw(st.sampled_from(forged)), max(proper, 1)
+    else:
+        elapsed = draw(st.sampled_from([-0.0, -0.5, math.inf, math.nan]) | st.integers(0, 10**6))
+    return (p, k, degenerate, proper, first, elapsed)
+
+
+def _compact_line(row) -> bytes:
+    """A valid JSON form of the row's document that the writer never makes."""
+    return json.dumps(row_to_dict(row), separators=(",", ":")).encode() + b"\n"
+
+
+# a file as a list of parts: rows appended by the writer, a raw line, or
+# one writer-made line with \r\n or with no newline
+any_rows = valid_rows() | off_rows()
+file_parts = st.one_of(
+    st.lists(valid_rows(), min_size=1, max_size=8).map(lambda rows: [("rows", rows)]),
+    st.tuples(
+        st.lists(valid_rows(), max_size=4), off_rows(), st.lists(valid_rows(), max_size=4)
+    ).map(lambda rows: [("rows", rows[0] + [rows[1]] + rows[2])]),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("rows"), st.lists(any_rows, min_size=1, max_size=3)),
+            st.tuples(st.just("raw"), cache_lines.map(lambda line: line + b"\n")),
+            st.tuples(st.just("raw"), any_rows.map(_compact_line)),
+            st.tuples(st.just("raw"), st.sampled_from([b"\n", b"  \n", b"\r\n"])),
+            st.tuples(st.sampled_from(["crlf", "cut"]), any_rows),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+
+
+def _read_both(path: Path) -> list[str]:
+    """What each reader makes of the file: its rows, or its error message."""
+    results = []
+    for read in (load_scan_cache, report._read_cache_lines):
+        try:
+            results.append(repr(read(path)))
+        except CorruptCache as exc:
+            results.append(f"CorruptCache: {exc}")
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(file_parts)
+def test_one_pass_reader_agrees_with_the_per_line_reader(parts):
+    """Both readers return dicts whose rows are repr-identical, or both
+    raise CorruptCache with the same message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, one = Path(tmp) / "scan.jsonl", Path(tmp) / "one.jsonl"
+        for kind, value in parts:
+            if kind == "rows":
+                report.append_scan_cache(path, value)
+                continue
+            if kind != "raw":
+                one.unlink(missing_ok=True)
+                report.append_scan_cache(one, [value])
+                value = one.read_bytes()
+                value = value.replace(b"\n", b"\r\n") if kind == "crlf" else value[:-1]
+            with path.open("ab") as handle:
+                handle.write(value)
+        fast, reference = _read_both(path)
+    assert fast == reference
+
+
+# one row per check of row_from_dict that the writer's form can fail, and
+# an integer elapsed, which only the per-line reader reads
+OFF_ROWS = {
+    "p-1": (1, 2, 0, 0, None, 0.5),
+    "p-even": (4, 2, 0, 0, None, 0.5),
+    "k-1": (59, 1, 0, 0, None, 0.5),
+    "k-63": (3, 63, 0, 0, None, 0.5),
+    "3^40": (3, 40, 0, 0, None, 0.5),
+    "over-bound": (3037000501, 2, 0, 0, None, 0.5),
+    "proper-null": (59, 2, 0, 4, None, 0.5),
+    "first-no-proper": (59, 2, 0, 0, REAL_FIRSTS[0][2], 0.5),
+    "forged-triplet": (59, 2, 0, 4, [1, 2, 3], 0.5),
+    "rotated": (59, 2, 0, 4, REAL_FIRSTS[0][2][1:] + REAL_FIRSTS[0][2][:1], 0.5),
+    "non-core-cycle": (59, 2, 0, 4, [2, 1160, 1739], 0.5),
+    "elapsed-negative": (59, 2, 0, 0, None, -0.5),
+    "elapsed-inf": (59, 2, 0, 0, None, math.inf),
+    "elapsed-nan": (59, 2, 0, 0, None, math.nan),
+    "elapsed-int": (59, 2, 0, 0, None, 5),
+}
+
+
+@pytest.mark.parametrize("row", list(OFF_ROWS.values()), ids=list(OFF_ROWS))
+def test_one_pass_reader_defers_each_failed_check(tmp_path, row):
+    path = tmp_path / "scan.jsonl"
+    report.append_scan_cache(path, [(53, 2, 0, 0, None, 0.0), row, (61, 2, 2, 0, None, 0.0)])
+    fast, reference = _read_both(path)
+    assert fast == reference
+    if type(row[5]) is int:
+        assert fast.endswith("(59, 2, 0, 0, None, 5), (61, 2): (61, 2, 2, 0, None, 0.0)}")
+    else:
+        assert fast.startswith(f"CorruptCache: line 2 of {path}: ")
 
 
 class TestParser:

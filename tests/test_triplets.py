@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 
 from pkarith import kernel, triplets
 from pkarith.cli import main
-from pkarith.errors import MemoryBudgetExceeded, ModulusOverflow, NotAUnit, UndefinedAtMinusOne
+from pkarith.errors import (
+    CorruptCache,
+    MemoryBudgetExceeded,
+    ModulusOverflow,
+    NotAUnit,
+    UndefinedAtMinusOne,
+)
 from pkarith.groups import is_core_member
 from pkarith.primes import odd_primes_in
 from pkarith.report import (
+    _check_first_proper,
     append_scan_cache,
     envelope,
     row_from_dict,
@@ -275,6 +282,46 @@ class TestTableBudget:
         assert triplets._physical_memory() is None
         monkeypatch.delattr(triplets.os, "sysconf")
         assert triplets._physical_memory() is None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_chain_with_a_and_b_in_the_core_has_c_in_the_core(k):
+    """The premise of the cache check's two pow calls: on a closed chain
+    (a+1)b = (b+1)c = (c+1)a = -1, abc = 1, so c = (ab)^-1 is in the core
+    with a and b. Every unit starts a chain for m < 3000, every core
+    member above that; the check accepts exactly the chains of three
+    distinct core members."""
+    closed, accepted_chains, proper = 0, 0, 0
+    for p in odd_primes_in(3, 199):
+        proper += len(kernel.scan_core_triplets(p, k)[1])
+        m = p**k
+        core = {pow(x, p ** (k - 1), m) for x in range(1, p)}
+        for a in range(1, m) if m < 3000 else sorted(core):
+            try:
+                b = -pow(a + 1, -1, m) % m
+                c = -pow(b + 1, -1, m) % m
+            except ValueError:  # a + 1 or b + 1 is not a unit
+                continue
+            if (c + 1) * a % m != m - 1:
+                continue
+            closed += 1
+            assert a * b * c % m == 1
+            if a in core and b in core:
+                assert c in core
+            chain = [a, b, c]
+            low = chain.index(min(chain))
+            first = chain[low:] + chain[:low]
+            try:
+                _check_first_proper(p, k, first)
+                accepted = True
+            except CorruptCache:
+                accepted = False
+            assert accepted == (len({a, b, c}) == 3 and {a, b, c} <= core)
+            accepted_chains += accepted
+    assert closed > 5_000
+    # each of the kernel's proper triplets, once from each member
+    assert accepted_chains == 3 * proper
+    assert proper > 0 or k == 3  # none mod p^3 for p < 200
 
 
 # every (p, 2, first triplet) below 200; no proper triplet exists for
