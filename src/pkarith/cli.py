@@ -47,27 +47,21 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pkarith",
-        description="Arithmetic mod p^k: units-group structure, cubic roots, "
-        "FLT root pairs, and the core triplet scan.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"pkarith {__version__} ({BACKEND})"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_analyze(sub) -> None:
     analyze = sub.add_parser("analyze", help="full structure report for one modulus")
     analyze.add_argument("p", type=int, help="odd prime")
     analyze.add_argument("k", type=int, nargs="?", default=2, help="precision, default 2")
     _add_common(analyze)
 
+
+def _add_roots(sub) -> None:
     roots = sub.add_parser("roots", help="FLT root pairs at the given precision")
     roots.add_argument("p", type=int, help="odd prime")
     roots.add_argument("k", type=int, nargs="?", default=2, help="precision, default 2")
     _add_common(roots)
 
+
+def _add_scan(sub) -> None:
     scan = sub.add_parser("scan", help="scan a prime range for proper core triplets")
     scan.add_argument("p_min", type=int)
     scan.add_argument("p_max", type=int)
@@ -82,17 +76,60 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--force", action="store_true", help="recompute cached primes")
     _add_common(scan)
 
+
+def _add_core_theorem(sub) -> None:
     theorem = sub.add_parser("core-theorem", help="verify core subgroup zero sums")
     theorem.add_argument("p", type=int, help="odd prime")
     theorem.add_argument("k", type=int, nargs="?", default=2, help="precision, default 2")
     _add_common(theorem)
 
+
+def _add_lift(sub) -> None:
     lift = sub.add_parser("lift", help="lift the cubic roots of 1 to higher precision")
     lift.add_argument("p", type=int, help="odd prime, must be 1 mod 6")
     lift.add_argument("from_k", type=int, help="starting precision")
     lift.add_argument("to_k", type=int, help="target precision")
     _add_common(lift)
 
+
+# each command's subparser, in the order help lists them
+_SUBPARSERS = {
+    "analyze": _add_analyze,
+    "roots": _add_roots,
+    "scan": _add_scan,
+    "core-theorem": _add_core_theorem,
+    "lift": _add_lift,
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The pkarith parser with every command's subparser, or with only
+    `command`'s.
+
+    main builds the one-command parser when argv starts with a command
+    name, since building all five costs more than parsing. Its usage line
+    still lists every command, so that its usage and error texts are the
+    full parser's, byte for byte. The full parser serves everything else
+    (help, --version, an unknown or missing command), and leaves the
+    metavar unset so that "required: command" and "argument command:
+    invalid choice" keep their wording.
+    """
+    parser = argparse.ArgumentParser(
+        prog="pkarith",
+        description="Arithmetic mod p^k: units-group structure, cubic roots, "
+        "FLT root pairs, and the core triplet scan.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"pkarith {__version__} ({BACKEND})"
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBPARSERS.values():
+            add(sub)
+    else:
+        metavar = "{" + ",".join(_SUBPARSERS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        _SUBPARSERS[command](sub)
     return parser
 
 
@@ -220,8 +257,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

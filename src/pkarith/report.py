@@ -7,10 +7,11 @@ cache is an append-only JSONL file keyed by (p, k). Reading it checks
 every line into a plain row of integers, in triplets.ScanRow's field
 order. The scan renderings and the cache writer work on those rows as
 they are, cached or fresh: no modulus, residue or record is built
-anywhere on the scan path.
+anywhere on the scan path. json is imported only where it is used, by
+structured output and the per-line cache reader, so a text command on a
+cache the program wrote never loads it.
 """
 
-import json
 import math
 import os
 import re
@@ -429,18 +430,6 @@ def row_from_dict(doc: dict) -> tuple:
     return p, k, degenerate, proper, first, elapsed
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _loads_stripped(line: str):
-    """json.loads for a line with no surrounding whitespace, without the
-    two whitespace scans json.loads makes around the value."""
-    doc, end = _raw_decode(line)
-    if end < len(line):
-        return json.loads(line)  # raises json.loads's own "Extra data" error
-    return doc
-
-
 def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
     """Check every line of the JSONL cache and map (p, k) to its plain
     row (see row_from_dict); the last line for a key wins. No modulus,
@@ -465,6 +454,10 @@ def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
 def _read_cache_lines(path: Path) -> dict[tuple[int, int], tuple]:
     """load_scan_cache for any file: each line parsed as JSON and checked
     by row_from_dict."""
+    import json
+
+    # json.loads without the two whitespace scans it makes around the value
+    raw_decode = json.JSONDecoder().raw_decode
     rows: dict[tuple[int, int], tuple] = {}
     if not path.exists():
         return rows
@@ -475,7 +468,11 @@ def _read_cache_lines(path: Path) -> dict[tuple[int, int], tuple]:
             if not line:
                 continue
             try:
-                row = row_from_dict(_loads_stripped(line.decode()))
+                text = line.decode()
+                doc, end = raw_decode(text)
+                if end < len(text):
+                    doc = json.loads(text)  # raises json.loads's own "Extra data" error
+                row = row_from_dict(doc)
             except ValueError as exc:
                 raise CorruptCache(f"line {number} of {path}: {exc}") from None
             rows[row[0], row[1]] = row
@@ -653,6 +650,8 @@ def envelope(
     scan_to_dict(rows) has it, ahead of payload's keys; they render from
     _RECORD_JSON and the rest of the document from json.dumps.
     """
+    import json
+
     if rows is not None:
         payload = {"records": [], **payload}
     doc = {

@@ -15,11 +15,17 @@ returns per line (as a plain tuple) and what the CLI prints and caches.
 Only the library's scan_primes turns rows into ScanRecords, through
 scan_record; triplet_from_values is the one place where three integers
 become a Triplet of Residues, used by find_core_triplets and scan_record.
+
+ProcessPoolExecutor is imported on first use, through the module
+__getattr__ (PEP 562): only a scan with jobs > 1 needs it, and importing
+concurrent.futures and multiprocessing takes about a quarter of a fresh
+`import pkarith.cli`. The name stays an attribute of this module, so a
+value set on it (a test's stand-in, an instrumented pool) is the one a
+scan uses.
 """
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -176,6 +182,17 @@ def scan_record(p, k, degenerate_count, proper_count, first, elapsed) -> ScanRec
     return ScanRecord(p, k, degenerate_count, proper_count, triplet, elapsed)
 
 
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first use and kept in the module
+    globals, so later lookups find it without this hook."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRow]:
     """The ScanRow of each listed prime, in listed order, from the kernel
     that find_core_triplets runs; no Residue is built.
@@ -199,7 +216,8 @@ def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRow]:
         chunksize = -(-len(work) // (4 * jobs))
         # a forked pool starts all its workers at the first submit
         workers = min(jobs, -(-len(work) // chunksize))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with executor(max_workers=workers) as pool:
             return list(pool.map(_scan_one, work, chunksize=chunksize))
     return [_scan_one(item) for item in work]
 

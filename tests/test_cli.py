@@ -225,6 +225,45 @@ class TestScan:
         assert "bound" in err
 
 
+class TestWieferichPrimes:
+    """Known answers from the FLT case-1 literature. Wieferich (1909):
+    case 1 can fail for p only if 2^(p-1) = 1 mod p^2, which says 2 is in
+    the core mod p^2. Then 1 is in S, and the lead core triplet mod
+    m = p^2 is (1, (m-1)/2, m-2): the chain 1 -> -1/2 -> -2 -> 1. The two
+    such primes known, 1093 (Meissner 1913) and 3511 (Beeger 1922), have
+    2^(p-1) != 1 mod p^3, so at k = 3 the triplet is gone."""
+
+    @pytest.mark.parametrize(
+        "p, proper, first",
+        [(1093, 5, (1, 597324, 1194647)), (3511, 1, (1, 6163560, 12327119))],
+    )
+    def test_scan_at_k2_leads_with_one(self, capsys, p, proper, first):
+        m = p * p
+        assert pow(2, p - 1, m) == 1
+        assert first == (1, (m - 1) // 2, m - 2)
+        code, out, err = run(capsys, "scan", str(p), str(p), "2")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"  p = {p}: {proper} proper triplets, 2 degenerate; first {first}\n"
+            f"summary: first proper triplet at p = {p}: {first}\n"
+        )
+
+    @pytest.mark.parametrize("p", [1093, 3511])
+    def test_scan_at_k3_has_no_proper_triplet(self, capsys, p):
+        assert pow(2, p - 1, p**3) != 1
+        code, out, err = run(capsys, "scan", str(p), str(p), "3")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"  p = {p}: no proper triplets, 2 degenerate\nsummary: no proper triplets found\n"
+        )
+
+    @pytest.mark.parametrize("p", [1093, 3511])
+    def test_roots_lists_the_pair_of_one(self, capsys, p):
+        code, out, _ = run(capsys, "roots", str(p), "2")
+        assert code == 0
+        assert out.splitlines()[1].startswith(f"  (1, {p * p - 2})  ")
+
+
 class TestTableBudget:
     @pytest.mark.parametrize(
         "argv",
