@@ -5,7 +5,9 @@
  * into a table keyed by residue class, keep the FLT-pair members
  * S = {a in core : a + 1 in core}, and invert only on S.
  *
- * The core is cyclic of order p - 1 and holds -1 = h^((p-1)/2), so the
+ * The core, the image of n -> n^(p^(k-1)), is fixed by n mod p, so any
+ * primitive root g mod p gives its generator h = g^(p^(k-1)) mod p^k. It
+ * is cyclic of order p - 1 and holds -1 = h^((p-1)/2), so the
  * second half of the powers h^0, ..., h^(p-2) mirrors the first:
  * h^(i + (p-1)/2) = m - h^i, in class p - (h^i mod p). The walk therefore
  * covers only h^0, ..., h^((p-3)/2) and fills each mirror class with one
@@ -15,10 +17,12 @@
  * odd modulus: with hr = h * R mod m, REDC(e * hr) = e * h mod m in three
  * multiplies and no division. Moduli stay below 2^63 so that
  * e * hr + u * m < 2^128 and one conditional subtract brings the result
- * below m. Four chains, started a quarter of the half walk apart, step
- * in one loop so that their multiply latencies overlap, and the class
- * x mod p comes from a multiply by floor((2^64 - 1) / p) instead of a
- * division. Eight chains measured no faster (2-vCPU x86-64, gcc -O3),
+ * below m. Four chains of q = ceil((p-1)/8) steps, started q powers
+ * apart, step in one loop so that their multiply latencies overlap; the
+ * up to three powers the last one walks past h^((p-3)/2) are mirrors of
+ * walked ones, so they rewrite entries with the values they hold. The
+ * class x mod p comes from a multiply by floor((2^64 - 1) / p) instead
+ * of a division. Eight chains measured no faster (2-vCPU x86-64, gcc -O3),
  * and a uint32 table of (e - class) / p at k = 2 measured slower.
  */
 #define PY_SSIZE_T_CLEAN
@@ -81,11 +85,11 @@ static u64 invmod(u64 a, u64 m) {
     return (u64)(t < 0 ? t + (i64)m : t);
 }
 
-/* Smallest primitive root mod p, lifted by p when it fails to generate
- * mod p^2; 0 when p is not prime. The first g passing the order test
- * must also have g^(p-1) = 1 mod p: by Lucas' test that holds for some
- * g exactly when p is prime. Kept here because callers pass only (p, k). */
-static u64 primroot(u64 p, int k) {
+/* Smallest primitive root mod p, as residues._smallest_primitive_root;
+ * 0 when p is not prime. The first g passing the order test must also
+ * have g^(p-1) = 1 mod p: by Lucas' test that holds for some g exactly
+ * when p is prime. Kept here because callers pass only (p, k). */
+static u64 primroot(u64 p) {
     u64 factors[16], n = p - 1, g, q;  /* p - 1 < 2^63 has at most 15 */
     int nf = 0, i;
     for (q = 2; q * q <= n; q++)
@@ -98,9 +102,7 @@ static u64 primroot(u64 p, int k) {
         for (i = 0; i < nf && powmod(g, (p - 1) / factors[i], p) != 1; i++) {}
         if (i == nf) break;
     }
-    if (g == p || powmod(g, p - 1, p) != 1) return 0;
-    if (k >= 2 && powmod(g, p - 1, p * p) == 1) g += p;
-    return g;
+    return g == p || powmod(g, p - 1, p) != 1 ? 0 : g;
 }
 
 /* t(a) if it lies in the core, else 0 with AssertionError set */
@@ -129,18 +131,17 @@ static PyObject *scan_core_triplets(PyObject *self, PyObject *args) {
                                                         "%lld^%d exceeds 2^63", p_in, k);
         m *= p;
     }
-    u64 g = p % 2 ? primroot(p, k) : 0;  /* even p: Montgomery needs an odd m */
+    u64 g = p % 2 ? primroot(p) : 0;  /* even p: Montgomery needs an odd m */
     if (g == 0) return PyErr_Format(PyExc_ValueError, "%lld is not prime", p_in);
     for (i = 1; i < k; i++) pk1 *= p;
     u64 h = powmod(g, pk1, m), r, a, b, c;
     u64 *by_class = calloc(p, sizeof(u64));  /* class 0 holds no unit */
     if (by_class == NULL) return PyErr_NoMemory();
-    /* the walk covers h^0, ..., h^(half - 1) and stores each element e,
-     * of class x, with its mirror m - e = h^(i + half), of class p - x.
-     * Chain j walks h^(j*q), ..., h^(j*q + q - 1); chain 3 then takes
-     * the half mod 4 leftover steps up to h^(half - 1) */
+    /* the walk stores each element e = h^i, of class x, with its mirror
+     * m - e = h^(i + half), of class p - x. Chain j walks h^(j*q), ...,
+     * h^(j*q + q - 1), so the four cover h^0, ..., h^(half - 1) */
     u64 pinv = UINT64_MAX / p, mp = neg_inv64(m), hr = (u64)(((u128)h << 64) % m);
-    u64 half = (p - 1) / 2, q = half / 4, e[4], step, x;
+    u64 half = (p - 1) / 2, q = (half + 3) / 4, e[4], step, x;
     e[0] = 1;
     e[1] = powmod(h, q, m);
     e[2] = mulmod(e[1], e[1], m);
@@ -152,12 +153,6 @@ static PyObject *scan_core_triplets(PyObject *self, PyObject *args) {
             by_class[p - x] = m - e[i];
             e[i] = redc_mul(e[i], hr, m, mp);
         }
-    for (step = 4 * q; step < half; step++) {
-        x = class_of(e[3], p, pinv);
-        by_class[x] = e[3];
-        by_class[p - x] = m - e[3];
-        e[3] = redc_mul(e[3], hr, m, mp);
-    }
     PyObject *fixed = PyList_New(0), *triplets = PyList_New(0), *out = NULL;
     if (fixed == NULL || triplets == NULL) goto done;
     for (r = 1; r + 1 < p; r++) {

@@ -11,7 +11,7 @@ t(a) = -(a+1)^-1 and t^2(a) = -(a+1) a^-1 are core elements. Hence only
 S needs inverting, and |S| = 3 * proper + fixed.
 """
 
-from .residues import _primitive_root_value
+from .residues import _smallest_primitive_root
 
 
 def core_table(p: int, k: int) -> tuple[int, list[int]]:
@@ -19,13 +19,15 @@ def core_table(p: int, k: int) -> tuple[int, list[int]]:
     and by_class[0] = 0.
 
     The core has exactly one element in every nonzero class mod p, so the
-    table is filled from the powers of the core generator h. Only half of
+    table is filled from the powers of the core generator h = g^(p^(k-1)),
+    which depends only on g mod p: g is the smallest primitive root mod p,
+    whether or not it generates mod p^2. Only half of
     them are walked: the core is cyclic of order p-1 and holds -1, so
     -1 = h^((p-1)/2) and h^(i + (p-1)/2) = m - h^i. Each element e of
     class r also fills class p - r with m - e.
     """
     m = p**k
-    h = pow(_primitive_root_value(p, k), p ** (k - 1), m)
+    h = pow(_smallest_primitive_root(p), p ** (k - 1), m)
     by_class = [0] * p
     e = 1
     for _ in range((p - 1) // 2):

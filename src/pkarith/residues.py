@@ -179,8 +179,8 @@ def inv_mod(x: Residue) -> Residue:
 
 
 # entries kept by the two primitive-root caches below: one `analyze` asks
-# for at most three keys, (p, k), (p, 1) and (p, 2), while a scan asks
-# once per prime and would otherwise keep every entry it never hits
+# for at most three keys, (p, k), (p, 1) and (p, 2), while a pure-kernel
+# scan asks for each prime's root mod p once and never hits an entry
 ROOT_CACHE_SIZE = 8
 
 

@@ -200,17 +200,18 @@ def scan_prime_list(primes: list[int], k: int, jobs: int = 1) -> list[ScanRow]:
     jobs > 1 fans the per-prime work out across processes, in about four
     chunks per worker (the split multiprocessing.Pool.map makes) rather
     than one round trip per prime, and starts no more workers than there
-    are chunks; the output order still follows the input list. The
-    largest prime's kernel table is checked against TABLE_BUDGET before
-    any prime is scanned.
+    are chunks; the output order still follows the input list. Before
+    any prime is scanned, the largest one is checked against the 2^63
+    modulus bound, which p^k then meets for every listed p, and its
+    kernel table against TABLE_BUDGET.
     """
     if k < 2:
         raise ValueError("scan needs k >= 2")
-    for p in primes:
-        if exceeds_bound(p, k):
-            raise ModulusOverflow(f"{p}^{k} exceeds the 2^63 modulus bound")
     if primes:
-        _check_table_budget(max(primes))
+        p_max = max(primes)
+        if exceeds_bound(p_max, k):
+            raise ModulusOverflow(f"{p_max}^{k} exceeds the 2^63 modulus bound")
+        _check_table_budget(p_max)
     work = [(p, k) for p in primes]
     if jobs > 1 and len(work) > 1:
         chunksize = -(-len(work) // (4 * jobs))

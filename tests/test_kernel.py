@@ -17,7 +17,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pkarith import _kernel_py, kernel
@@ -168,10 +168,10 @@ def test_backend_name_is_known():
 
 
 def test_backends_agree_at_k2(compiled):
-    # the compiled kernel's four chains share the half walk of (p - 1) / 2
-    # steps: they run empty for p = 3, 5 and 7, where (p - 1) / 2 < 4, and
-    # leave steps over for every p that is not 1 mod 8, where (p - 1) / 2
-    # is not a multiple of 4; keep the range starting at 3 and reaching past 7
+    # the compiled kernel's four chains take ceil((p - 1) / 8) steps each,
+    # one step apiece for p = 3, 5 and 7, and overrun the half walk of
+    # (p - 1) / 2 steps for every p that is not 1 mod 8, rewriting mirror
+    # entries; keep the range starting at 3 and reaching past 7
     primes = list(odd_primes_in(3, 2000))
     mismatched = [
         p
@@ -212,6 +212,50 @@ def test_compiled_matches_known_onset(compiled):
         (2076, 3181, 2375),
         (2374, 3182, 2675),
     ]
+
+
+# 40487 is the one prime below 2 * 10^5 whose smallest primitive root, 5,
+# has 5^(p-1) = 1 mod p^2: 5 generates mod p but not mod p^2, and still
+# gives the core generator 5^(p^(k-1)), which depends only on 5 mod p
+NON_LIFTING_PRIME = 40_487
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_root_that_fails_mod_p2_gives_the_core(compiled, k):
+    p = NON_LIFTING_PRIME
+    assert pow(5, p - 1, p * p) == 1
+    m, by_class = _kernel_py.core_table(p, k)
+    assert all(by_class[r] == pow(r, p ** (k - 1), m) for r in range(1, p))
+    expected = oracle_orbits(p, k)
+    assert _kernel_py.scan_core_triplets(p, k) == expected
+    assert compiled.scan_core_triplets(p, k) == expected
+
+
+def fermat_pair_members(p):
+    """S mod p^2, sorted, from the Fermat quotients q(r) = (r^(p-1) - 1) / p
+    (Lerch 1905), with no primitive root and no walk: r^p = r (1 + p q(r))
+    mod p^2, so the core element of class r is r + p (r q(r) mod p), and it
+    lies in S exactly when class r + 1 has the same digit r q(r) mod p."""
+    m = p * p
+    digit = [(r * (pow(r, p - 1, m) - 1) // p) % p for r in range(p)]
+    return sorted(r + p * digit[r] for r in range(1, p - 1) if digit[r + 1] == digit[r])
+
+
+def orbit_members(fixed, triplets):
+    return sorted(set(fixed).union(*triplets))
+
+
+@settings(max_examples=3, deadline=None)
+@example(1093)
+@example(3511)
+@example(NON_LIFTING_PRIME)
+@given(st.sampled_from(list(odd_primes_in(10**4, 2 * 10**5))))
+def test_fermat_quotient_oracle_gives_the_pair_set(compiled, p):
+    members = fermat_pair_members(p)
+    m, by_class = _kernel_py.core_table(p, 2)
+    assert sorted(_kernel_py.pair_members(by_class)) == members
+    assert orbit_members(*_kernel_py.pair_orbits(p, m, by_class)) == members
+    assert orbit_members(*compiled.scan_core_triplets(p, 2)) == members
 
 
 def test_compiled_rejects_bad_moduli(compiled):
