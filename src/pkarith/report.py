@@ -22,7 +22,7 @@ from typing import Optional
 from ._version import __version__
 from .errors import CorruptCache, ModulusOverflow, NoCubicRoots
 from .groups import CoreSet, GroupStructure, core_elements, group_structure
-from .residues import MODULUS_BOUND, PrimePowerModulus, Residue, exceeds_bound, to_padic
+from .residues import MODULUS_BOUND, PrimePowerModulus, Residue, to_padic
 from .roots import (
     CUBIC_POLY,
     CubicRootTriple,
@@ -399,8 +399,8 @@ _COUNT_KEYS = ("p", "k", "degenerate_count", "proper_triplet_count")
 def row_from_dict(doc: dict) -> tuple:
     """The plain scan row (p, k, degenerate, proper, first, elapsed) that a
     cache line holds, in triplets.ScanRow's field order; raises CorruptCache
-    if the line is not a well-formed record. p is not re-tested for
-    primality: the scan serves a row only for a prime it enumerated itself.
+    if a field is missing or of the wrong JSON type. The values are left to
+    _check_rows.
 
     JSON numbers parse to exactly int or float, so type() tells integers
     from floats and from bools (a subclass of int) in one test.
@@ -411,23 +411,40 @@ def row_from_dict(doc: dict) -> tuple:
     if not type(p) is type(k) is type(degenerate) is type(proper) is int:
         key = next(key for key, v in zip(_COUNT_KEYS, counts) if type(v) is not int)
         raise CorruptCache(f"missing or non-integer {key!r}")
-    if p < 3 or p % 2 == 0:
-        raise CorruptCache(f"p must be odd and >= 3, got {p}")
-    if k < 2 or exceeds_bound(p, k):
-        raise CorruptCache(f"need k >= 2 and p^k < 2^63, got p = {p}, k = {k}")
-    if degenerate < 0 or proper < 0:
-        raise CorruptCache("counts must be >= 0")
     elapsed = doc.get("elapsed", 0.0)
     if type(elapsed) not in (int, float):
         raise CorruptCache(f"elapsed must be a number, got {elapsed!r}")
-    if not 0 <= elapsed < math.inf:
-        raise CorruptCache(f"elapsed must be finite and >= 0, got {elapsed!r}")
-    first = doc.get("first_proper")
-    if (first is None) != (proper == 0):
-        raise CorruptCache("first_proper must be present exactly when proper_triplet_count > 0")
-    if first is not None:
-        _check_first_proper(p, k, first)
-    return p, k, degenerate, proper, first, elapsed
+    return p, k, degenerate, proper, doc.get("first_proper"), elapsed
+
+
+def _check_rows(rows: list, into: dict) -> None:
+    """Check each plain row against the value rule of a cache row and key
+    it into `into` by (p, k), the last row winning; raises CorruptCache at
+    the first bad row. p is not re-tested for primality: the scan serves a
+    row only for a prime it enumerated itself."""
+    for row in rows:
+        p, k, degenerate, proper, first, elapsed = row
+        if not (p & 1 and p >= 3):
+            raise CorruptCache(f"p must be odd and >= 3, got {p}")
+        if not (2 <= k < 63 and p**k < MODULUS_BOUND):  # k bounded before p**k is formed
+            raise CorruptCache(f"need k >= 2 and p^k < 2^63, got p = {p}, k = {k}")
+        # the fixed points of t are the nontrivial cubic roots of 1, which
+        # lie in the core exactly when p = 1 mod 6
+        if degenerate != (2 if p % 6 == 1 else 0):
+            raise CorruptCache(
+                f"degenerate_count must be {2 if p % 6 == 1 else 0} for p = {p}, got {degenerate}"
+            )
+        if proper < 0:
+            raise CorruptCache("counts must be >= 0")
+        if not 0 <= elapsed < math.inf:
+            raise CorruptCache(f"elapsed must be finite and >= 0, got {elapsed!r}")
+        if (first is None) != (proper == 0):
+            raise CorruptCache(
+                "first_proper must be present exactly when proper_triplet_count > 0"
+            )
+        if first is not None:
+            _check_first_proper(p, k, first)
+        into[p, k] = row
 
 
 def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
@@ -436,11 +453,10 @@ def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
     residue or record is built here, and the rows stay plain tuples.
 
     A file whose every line is in the form append_scan_cache writes is
-    tokenized by one regex pass, block by block, and each row gets
-    row_from_dict's checks in one loop. Any other file, or one with a row
-    that fails a check, is read again line by line as JSON
-    (_read_cache_lines), which gives the same rows and names the first
-    bad line.
+    tokenized by one regex pass, block by block. Any other file, or one
+    with a row that breaks the rule, is read again line by line as JSON
+    (_read_cache_lines), which gives the same rows and names the first bad
+    line. Both readers check their rows with _check_rows.
 
     Raises CorruptCache naming the first malformed line.
     """
@@ -452,15 +468,11 @@ def load_scan_cache(path: Path) -> dict[tuple[int, int], tuple]:
 
 
 def _read_cache_lines(path: Path) -> dict[tuple[int, int], tuple]:
-    """load_scan_cache for any file: each line parsed as JSON and checked
-    by row_from_dict."""
+    """load_scan_cache for any file: each line parsed as JSON, then checked
+    by row_from_dict and _check_rows."""
     import json
 
-    # json.loads without the two whitespace scans it makes around the value
-    raw_decode = json.JSONDecoder().raw_decode
     rows: dict[tuple[int, int], tuple] = {}
-    if not path.exists():
-        return rows
     # bytes, so that an undecodable line is reported like any other
     with path.open("rb") as handle:
         for number, line in enumerate(handle, 1):
@@ -468,14 +480,9 @@ def _read_cache_lines(path: Path) -> dict[tuple[int, int], tuple]:
             if not line:
                 continue
             try:
-                text = line.decode()
-                doc, end = raw_decode(text)
-                if end < len(text):
-                    doc = json.loads(text)  # raises json.loads's own "Extra data" error
-                row = row_from_dict(doc)
+                _check_rows([row_from_dict(json.loads(line.decode()))], rows)
             except ValueError as exc:
                 raise CorruptCache(f"line {number} of {path}: {exc}") from None
-            rows[row[0], row[1]] = row
     return rows
 
 
@@ -487,13 +494,13 @@ _CACHE_BLOCK = 1 << 14
 
 def _read_written_cache(handle) -> Optional[dict[tuple[int, int], tuple]]:
     """The rows of a cache file that append_scan_cache wrote, or None when
-    a line is in another form or fails one of row_from_dict's checks.
+    a line is in another form or a row breaks _check_rows's rule.
 
     Each block of whole lines is tokenized by _CACHE_LINE_PATTERN; every
     line in it matches exactly when the matches, at most one per line,
-    number its newlines. The regex admits only non-negative integers of at
-    most 19 digits and a float elapsed, so the checks left are the ones
-    below.
+    number its newlines. The regex admits only integers of at most 19
+    digits and a float elapsed, which are row_from_dict's type checks, and
+    each block's rows go to _check_rows as one list.
     """
     findall = re.compile(_CACHE_LINE_PATTERN, re.MULTILINE).findall
     rows: dict[tuple[int, int], tuple] = {}
@@ -507,27 +514,15 @@ def _read_written_cache(handle) -> Optional[dict[tuple[int, int], tuple]]:
         lines = findall(block, 0, end)
         if len(lines) != block.count(b"\n", 0, end):
             return None
-        for p, k, degenerate, proper, a, b, c, elapsed in lines:
-            p, k, proper, elapsed = int(p), int(k), int(proper), float(elapsed)
-            # k is bounded before p**k is formed; a is b"" for a null
-            # first_proper, which must be null exactly when proper is 0
-            if not (
-                p & 1
-                and p >= 3
-                and 2 <= k < 63
-                and p**k < MODULUS_BOUND
-                and elapsed < math.inf
-                and bool(a) == bool(proper)
-            ):
-                return None
-            first = None
-            if a:
-                first = [int(a), int(b), int(c)]
-                try:
-                    _check_first_proper(p, k, first)
-                except CorruptCache:
-                    return None
-            rows[p, k] = (p, k, int(degenerate), proper, first, elapsed)
+        # the fields in row order, a, b, c being first_proper (b"" for null)
+        parsed = [
+            (int(p), int(k), int(d), int(n), [int(a), int(b), int(c)] if a else None, float(e))
+            for p, k, d, n, a, b, c, e in lines
+        ]
+        try:
+            _check_rows(parsed, rows)
+        except CorruptCache:
+            return None
     return None if tail else rows  # a last line with no newline
 
 

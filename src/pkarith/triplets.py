@@ -116,8 +116,21 @@ def orbit_of(a: Residue) -> Triplet | FixedPoint:
     return Triplet(a, b, c, a.modulus)
 
 
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where sysconf cannot tell."""
+def _available_memory(meminfo: str = "/proc/meminfo") -> Optional[int]:
+    """Bytes of memory available to new allocations: MemAvailable where
+    meminfo has it, else physical memory from sysconf, else None.
+
+    MemAvailable counts the page cache the kernel can reclaim. sysconf's
+    SC_AVPHYS_PAGES, MemFree on Linux, leaves that out, so it would refuse
+    tables that fit.
+    """
+    try:
+        with open(meminfo, "rb") as handle:
+            for line in handle:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # in kB
+    except (OSError, ValueError):
+        pass
     try:
         total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -125,8 +138,9 @@ def _physical_memory() -> Optional[int]:
     return total if total > 0 else None
 
 
-# bytes the kernel's class table may take; None skips the check
-TABLE_BUDGET = _physical_memory()
+# bytes the kernel's class table may take, as free when the program
+# started; None skips the check
+TABLE_BUDGET = _available_memory()
 
 
 def _check_table_budget(p: int, entry_bytes: int = 8, table: str = "scan table") -> None:
@@ -137,7 +151,7 @@ def _check_table_budget(p: int, entry_bytes: int = 8, table: str = "scan table")
     if TABLE_BUDGET is not None and need > TABLE_BUDGET:
         raise MemoryBudgetExceeded(
             f"the {table} for p = {p} needs {need} bytes, "
-            f"over the {TABLE_BUDGET}-byte budget (physical memory)"
+            f"over the {TABLE_BUDGET}-byte budget (available memory)"
         )
 
 

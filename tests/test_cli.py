@@ -403,6 +403,12 @@ class TestScanCache:
             b'"proper_triplet_count": 0, "first_proper": null, "elapsed": 0.0}',
             b'{"p": ' + b"9" * 5000 + b', "k": 2, "degenerate_count": 0, '
             b'"proper_triplet_count": 0, "first_proper": null, "elapsed": 0.0}',
+            b'{"p": 61, "k": 2, "degenerate_count": 0, "proper_triplet_count": 0, '
+            b'"first_proper": null, "elapsed": 0.0}',
+            b'{"p": 59, "k": 2, "degenerate_count": 2, "proper_triplet_count": 4, '
+            b'"first_proper": [298, 1106, 805], "elapsed": 0.0}',
+            b'{"p": 59, "k": 2, "degenerate_count": 0, "proper_triplet_count": -4, '
+            b'"first_proper": [298, 1106, 805], "elapsed": 0.0}',
         ],
         ids=[
             "no-k",
@@ -418,6 +424,9 @@ class TestScanCache:
             "elapsed-overflow",
             "p-20-digits",
             "p-5000-digits",
+            "no-cubic-roots-at-1-mod-6",
+            "cubic-roots-at-5-mod-6",
+            "proper-negative",
         ],
     )
     def test_bad_record_exits_four_naming_its_line(self, capsys, tmp_path, line):
@@ -578,7 +587,8 @@ def _base_for(k: int) -> int:
 @st.composite
 def valid_rows(draw) -> tuple:
     """A row that passes every check, with elapsed in each form repr gives
-    it (p = 9 passes: a cache row's p is not re-tested for primality)."""
+    it (p = 9 passes: a cache row's p is not re-tested for primality), and
+    the two cubic roots of 1 as its degenerate count exactly when p = 1 mod 6."""
     if draw(st.booleans()):
         p, k, first = draw(st.sampled_from(REAL_FIRSTS))
         proper = draw(st.integers(1, 10**6))
@@ -592,7 +602,7 @@ def valid_rows(draw) -> tuple:
         st.sampled_from([0.0, 1e-06, 3.6e-05, 0.5, 123.456789, 9999999999999998.0, 1e16])
         | st.floats(0, 1e16)
     )
-    return (p, k, draw(st.integers(0, 10**6)), proper, first, elapsed)
+    return (p, k, 2 if p % 6 == 1 else 0, proper, first, elapsed)
 
 
 @st.composite
@@ -675,15 +685,18 @@ def test_one_pass_reader_agrees_with_the_per_line_reader(parts):
     assert fast == reference
 
 
-# one row per check of row_from_dict that the writer's form can fail, and
+# one row per check of _check_rows that the writer's form can fail, and
 # an integer elapsed, which only the per-line reader reads
 OFF_ROWS = {
     "p-1": (1, 2, 0, 0, None, 0.5),
+    "p-1-with-cubic-roots": (1, 2, 2, 0, None, 0.5),  # 1 = 1 mod 6
     "p-even": (4, 2, 0, 0, None, 0.5),
     "k-1": (59, 1, 0, 0, None, 0.5),
     "k-63": (3, 63, 0, 0, None, 0.5),
     "3^40": (3, 40, 0, 0, None, 0.5),
     "over-bound": (3037000501, 2, 0, 0, None, 0.5),
+    "no-cubic-roots-at-1-mod-6": (61, 2, 0, 0, None, 0.5),
+    "cubic-roots-at-5-mod-6": (59, 2, 2, 0, None, 0.5),
     "proper-null": (59, 2, 0, 4, None, 0.5),
     "first-no-proper": (59, 2, 0, 0, REAL_FIRSTS[0][2], 0.5),
     "forged-triplet": (59, 2, 0, 4, [1, 2, 3], 0.5),

@@ -203,6 +203,36 @@ def test_compiled_matches_oracle(compiled, pk):
     assert compiled.scan_core_triplets(*pk) == oracle_orbits(*pk)
 
 
+@settings(deadline=None)
+@example((1093, 2))
+@example((1093, 3))
+@example((3511, 2))
+@example((3511, 3))
+@given(
+    st.tuples(st.sampled_from(list(odd_primes_in(3, 3_000))), st.just(2))
+    | st.tuples(st.sampled_from(list(odd_primes_in(3, 400))), st.integers(3, 5))
+)
+def test_orbits_show_the_inverse_symmetry(compiled, pk):
+    """Both kernels' orbits against the symmetry of S under a -> 1/a:
+    - the fixed points of t are the two nontrivial cubic roots of 1, in
+      the core exactly when p = 1 mod 6;
+    - a -> 1/a maps the 3-cycle (a, b, c) to the 3-cycle (1/a, 1/c, 1/b);
+    - it fixes no 3-cycle but (1, -1/2, -2), which lies in S exactly when
+      2 = 1 + 1 is in the core, that is when 2^(p-1) = 1 mod p^k; so the
+      proper count is odd exactly then (at k = 2, the Wieferich primes
+      1093 and 3511)."""
+    p, k = pk
+    m = p**k
+    for backend in (_kernel_py, compiled):
+        fixed, triplets = backend.scan_core_triplets(p, k)
+        assert len(fixed) == (2 if p % 6 == 1 else 0)
+        assert len(triplets) % 2 == (pow(2, p - 1, m) == 1)
+        cycles = set(triplets)
+        for a, b, c in triplets:
+            ia, ib, ic = pow(a, -1, m), pow(b, -1, m), pow(c, -1, m)
+            assert min((ia, ic, ib), (ic, ib, ia), (ib, ia, ic)) in cycles
+
+
 def test_compiled_matches_known_onset(compiled):
     fixed, triplets = compiled.scan_core_triplets(59, 2)
     assert fixed == []

@@ -270,18 +270,30 @@ class TestTableBudget:
         (record,) = scan_primes(59, 59, 2)
         assert record.proper_triplet_count == 4
 
-    def test_budget_is_physical_memory_where_sysconf_tells(self, monkeypatch):
+    def test_budget_is_available_memory_where_meminfo_tells(self, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text(
+            "MemTotal:        8222320 kB\nMemFree:         6270736 kB\n"
+            "MemAvailable:    7500000 kB\nBuffers:          104980 kB\n"
+        )
+        assert triplets._available_memory(str(meminfo)) == 7_680_000_000
+
+    def test_budget_is_physical_memory_where_sysconf_tells(self, monkeypatch, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:        8222320 kB\nMemFree:         6270736 kB\n")
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
         monkeypatch.setattr(triplets.os, "sysconf", pages.__getitem__, raising=False)
-        assert triplets._physical_memory() == 4_096_000
+        assert triplets._available_memory(str(meminfo)) == 4_096_000
+        missing = str(tmp_path / "no-meminfo")
+        assert triplets._available_memory(missing) == 4_096_000
 
         def unsupported(name):
             raise ValueError(f"unrecognized configuration name {name}")
 
         monkeypatch.setattr(triplets.os, "sysconf", unsupported)
-        assert triplets._physical_memory() is None
+        assert triplets._available_memory(missing) is None
         monkeypatch.delattr(triplets.os, "sysconf")
-        assert triplets._physical_memory() is None
+        assert triplets._available_memory(missing) is None
 
 
 @pytest.mark.parametrize("k", [2, 3])
