@@ -11,7 +11,7 @@ t(a) = -(a+1)^-1 and t^2(a) = -(a+1) a^-1 are core elements. Hence only
 S needs inverting, and |S| = 3 * proper + fixed.
 """
 
-from .residues import _smallest_primitive_root
+from .residues import _smallest_primitive_root, exceeds_bound
 
 
 def core_table(p: int, k: int) -> tuple[int, list[int]]:
@@ -79,6 +79,11 @@ def scan_core_triplets(p: int, k: int) -> tuple[list[int], list[tuple[int, int, 
 
     Returns (sorted fixed-point values, sorted canonical triplet tuples);
     a triplet is canonical when its leading member is the cycle minimum.
+    Bad moduli raise what the compiled entry raises, with its messages.
     """
+    if p < 3 or k < 1:
+        raise ValueError("need p >= 3 and k >= 1")
+    if exceeds_bound(p, k):
+        raise OverflowError(f"{p}^{k} exceeds 2^63")
     m, by_class = core_table(p, k)
     return pair_orbits(p, m, by_class)

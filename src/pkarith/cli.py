@@ -134,6 +134,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def _require_odd_prime(p: int) -> None:
+    # is_prime answers below 2^64 only, and p^k >= p is past the bound there
+    if p >= 1 << 64:
+        raise ModulusOverflow(f"p = {p} exceeds the 2^63 modulus bound")
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise UsageError(f"p must be an odd prime >= 3, got {p}")
 

@@ -10,7 +10,7 @@ subgroup, of index p for k >= 2.
 from dataclasses import dataclass
 
 from .errors import NotAUnit
-from .residues import PrimePowerModulus, Residue, primitive_root
+from .residues import PrimePowerModulus, Residue, _smallest_primitive_root, primitive_root
 from .triplets import _check_table_budget
 
 # bytes to budget per core element for the Python core walk and what is
@@ -85,20 +85,22 @@ def group_structure(modulus: PrimePowerModulus) -> GroupStructure:
 
 
 def core_elements(modulus: PrimePowerModulus) -> CoreSet:
-    """All p-1 core elements as successive powers of the core generator.
+    """All p-1 core elements as successive powers of the core generator
+    h = g^(p^(k-1)), which depends only on g mod p: g is the smallest
+    primitive root mod p, as in both scan kernels.
 
     Raises MemoryBudgetExceeded, before the walk, if CORE_ELEMENT_BYTES
     per element would exceed triplets.TABLE_BUDGET.
     """
     _check_table_budget(modulus.p, CORE_ELEMENT_BYTES, "core walk")
-    h = core_project(primitive_root(modulus))
-    m = modulus.m
+    p, k, m = modulus.p, modulus.k, modulus.m
+    h = pow(_smallest_primitive_root(p), p ** (k - 1), m)
     elements = []
     e = 1
-    for _ in range(modulus.p - 1):
+    for _ in range(p - 1):
         elements.append(Residue(e, modulus))
-        e = e * h.value % m
-    return CoreSet(tuple(elements), h, modulus)
+        e = e * h % m
+    return CoreSet(tuple(elements), Residue(h, modulus), modulus)
 
 
 def is_core_member(n: Residue) -> bool:

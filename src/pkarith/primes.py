@@ -5,23 +5,12 @@ from math import isqrt
 from typing import Iterator
 
 # Strong-pseudoprime bases making Miller-Rabin exact for all n < 3.18e23,
-# which covers every value below 2^64.
+# which covers every value below 2^64. Every n runs all twelve: no command
+# tests primality in a loop (the scan enumerates by sieve), so shorter base
+# prefixes for small n would save microseconds per call and cost a table of
+# bounds that must each be a strong pseudoprime to its own prefix. The
+# bases are trial divisors first, so each is coprime to n in the test.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# (bound, j): the first j bases suffice below bound, the least odd strong
-# pseudoprime to all of them (Jaeschke, Math. Comp. 61, 1993; OEIS A014233)
-_MR_PREFIXES = (
-    (2_047, 1),
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
@@ -32,18 +21,15 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"{n} is outside the supported 64-bit range")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < _SMALL_PRIMES[-1] ** 2:  # a composite this small has a factor < 37
-        return True
-    bases = next((_MR_BASES[:j] for bound, j in _MR_PREFIXES if n < bound), _MR_BASES)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

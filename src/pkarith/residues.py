@@ -8,7 +8,6 @@ conditional subtract brings each product below m.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import (
     DigitParseError,
@@ -177,14 +176,13 @@ def inv_mod(x: Residue) -> Residue:
 
 # --- generators and logarithms ---------------------------------------------
 
+# Neither root function is cached: the scan kernels ask for each prime's
+# root mod p once, and one `analyze` asks for a few, each in microseconds
+# beside the core walk it starts. A core generator g^(p^(k-1)) depends on
+# g mod p alone, so it needs only _smallest_primitive_root; primitive_root
+# is for generators of the whole units group mod p^k.
 
-# entries kept by the two primitive-root caches below: one `analyze` asks
-# for at most three keys, (p, k), (p, 1) and (p, 2), while a pure-kernel
-# scan asks for each prime's root mod p once and never hits an entry
-ROOT_CACHE_SIZE = 8
 
-
-@lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _smallest_primitive_root(p: int) -> int:
     """Smallest g generating the units mod p, by order tests on p-1's factors.
 
@@ -192,8 +190,6 @@ def _smallest_primitive_root(p: int) -> int:
     Lucas' test some g does exactly when p is prime, so a composite p
     raises ValueError.
     """
-    if p == 3:
-        return 2
     cofactors = [(p - 1) // q for q in distinct_prime_factors(p - 1)]
     for g in range(2, p):
         if all(pow(g, c, p) != 1 for c in cofactors):
@@ -203,25 +199,20 @@ def _smallest_primitive_root(p: int) -> int:
     raise ValueError(f"{p} is not prime")
 
 
-@lru_cache(maxsize=ROOT_CACHE_SIZE)
-def _primitive_root_value(p: int, k: int) -> int:
+def primitive_root(modulus: PrimePowerModulus) -> Residue:
+    """Smallest primitive root mod p, lifted (g or g+p) to generate mod p^k."""
+    p, k, m = modulus.p, modulus.k, modulus.m
     g = _smallest_primitive_root(p)
     if k >= 2 and pow(g, p - 1, p * p) == 1:
         # g generates mod p but collapses mod p^2; the shifted root never does
         g += p
-    m = p**k
     order = (p - 1) * p ** (k - 1)
     # the order's prime factors, without trial division up to sqrt(order)
     factors = distinct_prime_factors(p - 1) + ([p] if k >= 2 else [])
     for q in factors:
         if pow(g, order // q, m) == 1:
             raise AssertionError(f"{g} is not primitive mod {p}^{k}")
-    return g
-
-
-def primitive_root(modulus: PrimePowerModulus) -> Residue:
-    """Smallest primitive root mod p, lifted (g or g+p) to generate mod p^k."""
-    return Residue(_primitive_root_value(modulus.p, modulus.k), modulus)
+    return Residue(g, modulus)
 
 
 def discrete_log(g: Residue, x: Residue) -> int:

@@ -245,6 +245,8 @@ def scan_primes(p_min: int, p_max: int, k: int, jobs: int = 1) -> list[ScanRecor
     """
     if not 3 <= p_min <= p_max:
         raise ValueError(f"need 3 <= p_min <= p_max, got [{p_min}, {p_max}]")
+    if k < 2:  # before listing the primes that scan_prime_list would refuse
+        raise ValueError("scan needs k >= 2")
     if exceeds_bound(p_max, k):
         raise ModulusOverflow(f"{p_max}^{k} exceeds the 2^63 modulus bound")
     rows = scan_prime_list(list(odd_primes_in(p_min, p_max)), k, jobs)

@@ -224,6 +224,22 @@ class TestScan:
         assert out == ""
         assert "bound" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "18446744073709551629", "2"),
+            ("roots", "18446744073709551629", "2"),
+            ("lift", "18446744073709551629", "2", "3"),
+            ("core-theorem", "18446744073709551629", "2"),
+        ],
+    )
+    def test_prime_past_64_bits_overflows(self, capsys, argv):
+        # 2^64 + 13 is prime, and past the range is_prime answers in
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "p = 18446744073709551629 exceeds the 2^63 modulus bound" in err
+
 
 class TestWieferichPrimes:
     """Known answers from the FLT case-1 literature. Wieferich (1909):
@@ -294,7 +310,7 @@ class TestTableBudget:
         # room for the kernel's 8-byte table, not for the Python core walk
         monkeypatch.setattr(triplets, "TABLE_BUDGET", 8 * 199)
         monkeypatch.setattr(kernel, "scan_core_triplets", must_not_run)
-        monkeypatch.setattr(groups, "core_project", must_not_run)
+        monkeypatch.setattr(groups, "_smallest_primitive_root", must_not_run)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -307,7 +323,7 @@ class TestTableBudget:
         def must_not_run(*args):
             raise AssertionError(f"a core walk started: {args}")
 
-        monkeypatch.setattr(groups, "core_project", must_not_run)
+        monkeypatch.setattr(groups, "_smallest_primitive_root", must_not_run)
         code, out, _ = run(capsys, "roots", "199", "2")
         assert code == 0
         assert out == expected

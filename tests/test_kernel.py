@@ -160,6 +160,22 @@ def test_t_leaving_the_core_raises(pk, data):
         _kernel_py.pair_orbits(p, m, by_class)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_oracle_orbits_show_the_inverse_symmetry(k):
+    """The symmetry of test_orbits_show_the_inverse_symmetry, read from the
+    brute-force oracle alone, so that no kernel vouches for itself: two
+    fixed points exactly when p = 1 mod 6, an odd proper count exactly
+    when 2^(p-1) = 1 mod p^k, and the orbit members S closed under
+    a -> 1/a."""
+    for p in odd_primes_in(3, 200):
+        m = p**k
+        fixed, triplets = oracle_orbits(p, k)
+        assert len(fixed) == (2 if p % 6 == 1 else 0), p
+        assert len(triplets) % 2 == (pow(2, p - 1, m) == 1), p
+        members = set(orbit_members(fixed, triplets))
+        assert {pow(a, -1, m) for a in members} == members, p
+
+
 # --- compiled kernel -------------------------------------------------------
 
 
@@ -288,18 +304,27 @@ def test_fermat_quotient_oracle_gives_the_pair_set(compiled, p):
     assert orbit_members(*compiled.scan_core_triplets(p, 2)) == members
 
 
-def test_compiled_rejects_bad_moduli(compiled):
-    with pytest.raises(OverflowError):
-        compiled.scan_core_triplets(6_209, 5)  # 6209^5 > 2^63
-    with pytest.raises(ValueError):
-        compiled.scan_core_triplets(2, 2)
-    with pytest.raises(ValueError, match="not prime"):
-        compiled.scan_core_triplets(4, 2)  # an even modulus has no Montgomery form
-    with pytest.raises(ValueError):
-        compiled.scan_core_triplets(7, 0)
+def assert_rejects_bad_moduli(backend):
+    with pytest.raises(OverflowError, match=r"^6209\^5 exceeds 2\^63$"):
+        backend.scan_core_triplets(6_209, 5)  # 6209^5 > 2^63
+    with pytest.raises(OverflowError, match=r"^3\^40 exceeds 2\^63$"):
+        backend.scan_core_triplets(3, 40)
+    for p, k in ((2, 2), (1, 2), (7, 0)):
+        with pytest.raises(ValueError, match="^need p >= 3 and k >= 1$"):
+            backend.scan_core_triplets(p, k)
+    with pytest.raises(ValueError, match="^4 is not prime"):
+        backend.scan_core_triplets(4, 2)  # an even modulus has no Montgomery form
     for p in ODD_COMPOSITES:
         with pytest.raises(ValueError, match=f"^{p} is not prime"):
-            compiled.scan_core_triplets(p, 2)
+            backend.scan_core_triplets(p, 2)
+
+
+def test_compiled_rejects_bad_moduli(compiled):
+    assert_rejects_bad_moduli(compiled)
+
+
+def test_pure_kernel_rejects_bad_moduli():
+    assert_rejects_bad_moduli(_kernel_py)
 
 
 # --- FLT root pairs read from S ----------------------------------------------

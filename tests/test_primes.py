@@ -83,44 +83,39 @@ def strong_probable_prime(n: int, a: int) -> bool:
     return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
 
 
-@pytest.mark.parametrize(
-    "n",
-    # the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7 and 9
-    # prime bases: each is where is_prime moves on to a longer base prefix
-    [
-        2_047,
-        1_373_653,
-        25_326_001,
-        3_215_031_751,
-        2_152_302_898_747,
-        3_474_749_660_383,
-        341_550_071_728_321,
-        3_825_123_056_546_413_051,
-    ],
-)
+# the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7 and 9 prime
+# bases (Jaeschke, Math. Comp. 61, 1993; OEIS A014233): each passes
+# Miller-Rabin on that many bases, so is_prime must run more of them
+JAESCHKE_BOUNDS = [
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+]
+
+
+@pytest.mark.parametrize("n", JAESCHKE_BOUNDS)
 def test_strong_pseudoprimes_are_composite(n):
     assert not is_prime(n)
-
-
-def test_base_prefix_bounds_are_strong_pseudoprimes():
-    # each bound fools its own prefix, so the prefix is exact only below it
-    for bound, j in primes._MR_PREFIXES:
-        assert all(strong_probable_prime(bound, a) for a in primes._MR_BASES[:j]), bound
 
 
 @given(
     st.one_of(
         st.integers(1, (1 << 64) - 1),
-        st.sampled_from([b for b, _ in primes._MR_PREFIXES]).flatmap(
+        st.sampled_from(JAESCHKE_BOUNDS).flatmap(
             lambda b: st.integers(max(1, b - 10**4), b + 10**4)
         ),
     )
 )
 def test_is_prime_matches_all_twelve_bases(n):
-    # the base prefixes and the early return below 37^2 change no answer
-    all_bases = n in primes._SMALL_PRIMES or (
+    # trial division by the bases themselves changes no answer
+    all_bases = n in primes._MR_BASES or (
         n > 1
-        and all(n % q for q in primes._SMALL_PRIMES)
+        and all(n % q for q in primes._MR_BASES)
         and all(strong_probable_prime(n, a) for a in primes._MR_BASES)
     )
     assert is_prime(n) == all_bases

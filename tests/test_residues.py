@@ -1,14 +1,9 @@
 """Modular arithmetic kernel: moduli, residues, codec, dlog."""
 
-import io
-from contextlib import redirect_stdout
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkarith import _kernel_py, residues
-from pkarith.cli import main
 from pkarith.errors import (
     DigitParseError,
     ModulusMismatch,
@@ -16,9 +11,7 @@ from pkarith.errors import (
     NotAUnit,
     NotInGroup,
 )
-from pkarith.primes import odd_primes_in
 from pkarith.residues import (
-    ROOT_CACHE_SIZE,
     PAdicDigits,
     PrimePowerModulus,
     Residue,
@@ -161,45 +154,6 @@ class TestPrimitiveRoot:
         assert pow(14, 28, 841) == 1
         assert primitive_root(PrimePowerModulus(29, 2)).value == 2
         assert pow(2, 28, 841) != 1
-
-
-class TestPrimitiveRootCaches:
-    """Both primitive-root caches are bounded: a scan asks once per prime
-    and never again, while one analysis asks the same few keys often."""
-
-    CACHES = (residues._primitive_root_value, residues._smallest_primitive_root)
-
-    def _clear(self):
-        for cached in self.CACHES:
-            cached.cache_clear()
-
-    def test_long_pure_kernel_scan_stays_within_the_bound(self):
-        # the scan needs only the root mod p: its core generator
-        # g^(p^(k-1)) mod p^k depends on g mod p alone
-        self._clear()
-        primes = list(odd_primes_in(3, 3000))
-        for p in primes:
-            _kernel_py.scan_core_triplets(p, 2)
-        info = residues._smallest_primitive_root.cache_info()
-        assert info.maxsize == ROOT_CACHE_SIZE
-        assert info.misses == len(primes)
-        assert info.currsize == ROOT_CACHE_SIZE
-        lifted = residues._primitive_root_value.cache_info()
-        assert lifted.hits + lifted.misses == 0
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_analyze_still_hits(self, k):
-        self._clear()
-        with redirect_stdout(io.StringIO()):
-            assert main(["analyze", "61", str(k)]) == 0
-        for cached in self.CACHES:
-            info = cached.cache_info()
-            assert info.currsize == info.misses  # every key it asked is still held
-        assert residues._primitive_root_value.cache_info().hits > 0
-        if k >= 2:
-            # at k = 1 only the kernel asks for p's root a second time, for
-            # the pairs mod p^2, and the compiled kernel finds its own
-            assert residues._smallest_primitive_root.cache_info().hits > 0
 
 
 class TestDiscreteLog:

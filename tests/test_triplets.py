@@ -232,6 +232,14 @@ class TestScanPrimes:
         with pytest.raises(ValueError):
             scan_primes(3, 10, 1)
 
+    def test_low_precision_rejected_before_listing_primes(self, monkeypatch):
+        def must_not_list(lo, hi):
+            raise AssertionError(f"listed the primes in [{lo}, {hi}]")
+
+        monkeypatch.setattr(triplets, "odd_primes_in", must_not_list)
+        with pytest.raises(ValueError, match="k >= 2"):
+            scan_primes(3, 10**12, 1)
+
     def test_overflow_rejected(self):
         with pytest.raises(ModulusOverflow):
             scan_primes(3, 4_000_000_000, 2)
